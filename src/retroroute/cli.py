@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from .align import align_route, augment_roots, default_root, render_sequence
@@ -35,7 +35,7 @@ from .routes import (
     to_tree,
     validate_route,
 )
-from .smiles import canonical_key, parse_smiles
+from .smiles import CanonicalKey, canonical_key, parse_smiles, smiles_keys
 
 ROUTE_SEED_STRIDE = 1_000_003
 
@@ -259,86 +259,87 @@ def cmd_align(args: argparse.Namespace, config: PipelineConfig) -> int:
 
 
 # ---------------------------------------------------------------------------
+# row fields of score, vote and eval
+# ---------------------------------------------------------------------------
+
+
+_JSON_TYPES = {str: "string", list: "array"}
+
+
+def _field(row, name: str, where: str, kind: type = object):
+    """row[name], which must be present and of the JSON type `kind`."""
+    if not isinstance(row, dict):
+        raise SchemaError(f"{where}: expected an object")
+    if name not in row:
+        raise SchemaError(f"{where}: missing {name!r}")
+    if not isinstance(row[name], kind):
+        raise SchemaError(f"{where}: {name} must be a JSON {_JSON_TYPES[kind]}")
+    return row[name]
+
+
+def _depth(row, name: str, where: str) -> int:
+    value = _field(row, name, where)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise SchemaError(f"{where}: {name} must be a non-negative integer")
+    return value
+
+
+def _keys(text: str, where: str) -> list[CanonicalKey]:
+    try:
+        return smiles_keys(text)
+    except SmilesSyntaxError as exc:
+        raise SchemaError(f"{where}: {exc}") from exc
+
+
+def _target_key(row, where: str) -> CanonicalKey:
+    keys = _keys(_field(row, "target", where, str), f"{where} target")
+    if len(keys) != 1:
+        raise SchemaError(f"{where}: target must be a single molecule")
+    return keys[0]
+
+
+def _key_set(texts, where: str) -> frozenset[CanonicalKey]:
+    """Keys of every component of a list of SMILES texts."""
+    if not isinstance(texts, list) or not all(isinstance(text, str) for text in texts):
+        raise SchemaError(f"{where}: expected a list of SMILES strings")
+    return frozenset(key for text in texts for key in _keys(text, where))
+
+
+# ---------------------------------------------------------------------------
 # score
 # ---------------------------------------------------------------------------
 
 
-def _reference_table(
-    records: list[RouteRecord],
-) -> dict[str, tuple[list[list[str]], int]]:
-    table: dict[str, tuple[list[list[str]], int]] = {}
-    for record in records:
-        refs = [sorted(key.key for key in group) for group in record.references]
-        table[record.route.target_key.key] = (refs, record.ref_depth)
-    return table
-
-
-def _score_worker(
-    task: tuple[int, dict, RewardConfig, tuple[str, str]],
-) -> str:
-    index, row, reward, delimiters = task
-    where = f"plan {index}"
-    for field_name in ("plan_text", "target"):
-        if field_name not in row:
-            raise SchemaError(f"{where}: missing {field_name!r}")
-    molecules = parse_smiles(row["target"])
-    if len(molecules) != 1:
-        raise SchemaError(f"{where}: target must be a single molecule")
-    target = molecules[0]
-    if not isinstance(row.get("references"), list) or not row["references"]:
-        raise SchemaError(f"{where}: references must be a non-empty list of lists")
-    if not isinstance(row.get("ref_depth"), int):
-        raise SchemaError(f"{where}: ref_depth must be an integer")
-    try:
-        references = [
-            frozenset(
-                canonical_key(molecule)
-                for text in group
-                for molecule in parse_smiles(text)
-            )
-            for group in row["references"]
-        ]
-    except SmilesSyntaxError as exc:
-        raise SchemaError(f"{where}: bad reference SMILES ({exc})") from exc
-    plan = parse_plan(row["plan_text"], target, delimiters)
-    score = score_plan(plan, references, row["ref_depth"], reward)
-    return _dumps(
-        {
-            "index": index,
-            "total": score.total,
-            "format_applied": score.format_applied,
-            "exact": score.exact,
-            "similarity": score.similarity,
-            "invalid_lines": score.invalid_lines,
-            "depth_excess": score.depth_excess,
-            "penalty": score.penalty,
-        }
-    )
+def _score_worker(task: tuple) -> str:
+    index, target_text, plan_text, references, ref_depth, reward, delimiters = task
+    plan = parse_plan(plan_text, parse_smiles(target_text)[0], delimiters)
+    return _dumps({"index": index, **asdict(score_plan(plan, references, ref_depth, reward))})
 
 
 def cmd_score(args: argparse.Namespace, config: PipelineConfig) -> int:
     dataset_path = _resolve_dataset(args, config)
     config.reward.validate()
     rows = _read_jsonl(args.plans)
-    table = _reference_table(ingest_dataset(dataset_path))
+    by_key = {record.route.target_key: record for record in ingest_dataset(dataset_path)}
     tasks = []
     for index, row in enumerate(rows):
-        row = dict(row)
-        if "references" not in row or "ref_depth" not in row:
-            if "target" not in row:
-                raise SchemaError(f"plan {index}: missing 'target'")
-            molecules = parse_smiles(row["target"])
-            if len(molecules) != 1:
-                raise SchemaError(f"plan {index}: target must be a single molecule")
-            key = canonical_key(molecules[0]).key
-            if key not in table:
-                raise SchemaError(
-                    f"plan {index}: target not in dataset and no inline references"
-                )
-            refs, depth = table[key]
-            row.setdefault("references", refs)
-            row.setdefault("ref_depth", depth)
-        tasks.append((index, row, config.reward, config.delimiters))
+        where = f"plan {index}"
+        plan_text = _field(row, "plan_text", where, str)
+        target_key = _target_key(row, where)
+        record = by_key.get(target_key)
+        if record is None and ("references" not in row or "ref_depth" not in row):
+            raise SchemaError(f"{where}: target not in dataset and no inline references")
+        if "references" in row:
+            groups = _field(row, "references", where, list)
+            if not groups:
+                raise SchemaError(f"{where}: references must be a non-empty list of lists")
+            references = [_key_set(g, f"{where} reference {j}") for j, g in enumerate(groups)]
+        else:
+            references = record.references
+        ref_depth = _depth(row, "ref_depth", where) if "ref_depth" in row else record.ref_depth
+        tasks.append(
+            (index, row["target"], plan_text, references, ref_depth, config.reward, config.delimiters)
+        )
     out_lines = _map_ordered(_score_worker, tasks, config.workers)
     _write_lines(args.out, out_lines)
     totals = [json.loads(line)["total"] for line in out_lines]
@@ -354,31 +355,21 @@ def cmd_score(args: argparse.Namespace, config: PipelineConfig) -> int:
 
 def _slate_from_row(row: dict, index: int) -> tuple[str, CandidateSlate]:
     where = f"slate {index}"
-    if "target" not in row or "entries" not in row or not isinstance(row["entries"], list):
-        raise SchemaError(f"{where}: expected 'target' and a list of 'entries'")
-    molecules = parse_smiles(row["target"])
-    if len(molecules) != 1:
-        raise SchemaError(f"{where}: target must be a single molecule")
+    target_key = _target_key(row, where)
     entries = []
-    for j, entry in enumerate(row["entries"]):
-        for field_name in ("plan_id", "precursors", "depth"):
-            if field_name not in entry:
-                raise SchemaError(f"{where} entry {j}: missing {field_name!r}")
-        keys = set()
-        for text in entry["precursors"]:
-            for molecule in parse_smiles(text):
-                keys.add(canonical_key(molecule))
+    for j, entry in enumerate(_field(row, "entries", where, list)):
+        at = f"{where} entry {j}"
         entries.append(
             SlateEntry(
-                plan_id=str(entry["plan_id"]),
-                precursors=frozenset(keys),
-                depth=entry["depth"],
+                plan_id=str(_field(entry, "plan_id", at)),
+                precursors=_key_set(_field(entry, "precursors", at), at),
+                depth=_depth(entry, "depth", at),
                 notation_id=str(entry.get("notation_id", "")),
             )
         )
     if not entries:
         raise SchemaError(f"{where}: a slate needs at least one entry")
-    return row["target"], CandidateSlate(canonical_key(molecules[0]), tuple(entries))
+    return row["target"], CandidateSlate(target_key, tuple(entries))
 
 
 def cmd_vote(args: argparse.Namespace, config: PipelineConfig) -> int:
@@ -418,32 +409,21 @@ def cmd_vote(args: argparse.Namespace, config: PipelineConfig) -> int:
 def cmd_eval(args: argparse.Namespace, config: PipelineConfig) -> int:
     dataset_path = _resolve_dataset(args, config)
     rows = _read_jsonl(args.candidates)
-    dataset = ingest_dataset(dataset_path)
-    by_key: dict[str, RouteRecord] = {
-        record.route.target_key.key: record for record in dataset
-    }
+    by_key = {record.route.target_key: record for record in ingest_dataset(dataset_path)}
     records: list[EvalRecord] = []
     for index, row in enumerate(rows):
         where = f"candidates line {index}"
-        if "target" not in row or "candidates" not in row:
-            raise SchemaError(f"{where}: expected 'target' and 'candidates'")
-        molecules = parse_smiles(row["target"])
-        if len(molecules) != 1:
-            raise SchemaError(f"{where}: target must be a single molecule")
-        key = canonical_key(molecules[0])
-        if key.key not in by_key:
+        key = _target_key(row, where)
+        if key not in by_key:
             raise SchemaError(f"{where}: target not present in the dataset")
-        record = by_key[key.key]
+        record = by_key[key]
         candidates = []
-        for entry in row["candidates"]:
-            keys = set()
-            for text in entry["precursors"]:
-                for molecule in parse_smiles(text):
-                    keys.add(canonical_key(molecule))
+        for j, entry in enumerate(_field(row, "candidates", where, list)):
+            at = f"{where} candidate {j}"
             candidates.append(
                 EvalCandidate(
-                    precursors=frozenset(keys),
-                    depth=entry["depth"],
+                    precursors=_key_set(_field(entry, "precursors", at), at),
+                    depth=_depth(entry, "depth", at),
                     plan_id=str(entry.get("plan_id", "")),
                 )
             )

@@ -9,6 +9,7 @@ exact-match bonus with penalties, or a similarity term over leaf sets.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -123,6 +124,9 @@ def parse_plan(
     failures: list[PlanLineIssue] = []
     parsed_lines: list[tuple[int, Molecule, list[Molecule]]] = []
     fatal: str | None = None
+    # One parse per distinct text of this plan (a line's product is usually an
+    # earlier line's precursor); every line still records its own failures.
+    parse = functools.cache(_try_parse)
 
     for line_number, line in enumerate(answer.splitlines(), start=1):
         line = line.strip()
@@ -132,7 +136,7 @@ def parse_plan(
             failures.append(PlanLineIssue(line_number, "syntax", "missing '>>'"))
             continue
         product_text, _, rhs = line.partition(">>")
-        product, kind, message = _try_parse(product_text.strip())
+        product, kind, message = parse(product_text.strip())
         if kind == "syntax" or product is None:
             failures.append(
                 PlanLineIssue(line_number, "syntax", f"product: {message}")
@@ -149,7 +153,7 @@ def parse_plan(
                     PlanLineIssue(line_number, "syntax", "empty precursor")
                 )
                 continue
-            molecule, kind, message = _try_parse(part)
+            molecule, kind, message = parse(part)
             if molecule is None:
                 failures.append(PlanLineIssue(line_number, "syntax", message))
                 continue

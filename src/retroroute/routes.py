@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import CycleError, SchemaError, SmilesSyntaxError
-from .smiles import CanonicalKey, Molecule, canonical_key, parse_smiles
+from .smiles import CanonicalKey, Molecule, canonical_key, parse_smiles, smiles_keys
 
 
 @dataclass(eq=False)
@@ -150,11 +150,9 @@ def load_stock(path: str | Path) -> StockSet:
         if not line:
             continue
         try:
-            molecules = parse_smiles(line)
+            keys.update(smiles_keys(line))
         except SmilesSyntaxError as exc:
             raise SchemaError(f"stock line {line_number}: {exc}") from exc
-        for molecule in molecules:
-            keys.add(canonical_key(molecule))
     if not keys:
         raise SchemaError(f"stock file {path} contains no molecules")
     return StockSet(frozenset(keys), str(path))

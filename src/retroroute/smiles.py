@@ -3,8 +3,19 @@
 The dialect is the organic subset plus bracket atoms (isotope, charge,
 explicit hydrogens, atom maps), ring closures including %nn, and the bond
 symbols - = # : / \\. Aromaticity is taken as written (lowercase atoms),
-never re-perceived, and nothing is kekulized. Stereo marks are carried
-through verbatim but take no part in ranking or isomorphism.
+never re-perceived, and nothing is kekulized, except that an aromatic bond
+between two aromatic atoms that lies on no ring (the unwritten ring-to-ring
+bond of c1ccccc1c1ccccc1) is read as single. Stereo marks are carried through
+verbatim but take no part in ranking or isomorphism.
+
+Key table: the module keeps one process-wide dict from the exact text of a
+component that parse_smiles read to the CanonicalKey that canonical_key
+computed for it. parse_smiles presets a molecule's key from it, and
+smiles_keys answers from it without parsing, so a text repeated across plan
+lines, rows or commands is keyed once per process. It holds key strings
+only, never molecules; it grows by one entry per distinct component text the
+process reads and keys, and is never cleared. Hand-built Molecules neither
+read nor fill it. Each pool worker has its own copy.
 """
 
 from __future__ import annotations
@@ -121,6 +132,8 @@ class Molecule:
     )
     _ranks: tuple[int, ...] | None = field(default=None, repr=False, compare=False)
     _key: "CanonicalKey | None" = field(default=None, repr=False, compare=False)
+    # Set by parse_smiles only: the key of source_text may enter the key table.
+    _from_text: bool = field(default=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.atoms)
@@ -173,6 +186,10 @@ class CanonicalKey:
 
     def __str__(self) -> str:  # pragma: no cover - debugging nicety
         return self.key
+
+
+# Exact component text -> key; see the module docstring.
+_KEYS: dict[str, CanonicalKey] = {}
 
 
 # ---------------------------------------------------------------------------
@@ -237,19 +254,21 @@ def parse_smiles(text: str) -> list[Molecule]:
 
     atoms: list[Atom] = []
     bonds: list[Bond] = []
+    aromatic_chain: list[int] = []  # aromatic chain bonds between aromatic atoms
+    closures: list[int] = []  # ring-closure bonds
     branch_stack: list[int] = []
     open_rings: dict[int, tuple[int, str | None]] = {}
     previous: int | None = None
     pending_bond: str | None = None
     component_start = 0
 
-    def default_order(i: int, j: int) -> str:
-        if atoms[i].aromatic and atoms[j].aromatic:
-            return AROMATIC
-        return SINGLE
+    def make_bond(i: int, j: int, symbol: str | None) -> Bond:
+        if symbol is None:
+            return Bond(i, j, AROMATIC if atoms[i].aromatic and atoms[j].aromatic else SINGLE)
+        return Bond(i, j, _BOND_CHAR[symbol], symbol if symbol in "/\\" else None)
 
     def close_component(end: int) -> None:
-        nonlocal atoms, bonds, branch_stack, open_rings, previous, pending_bond, component_start
+        nonlocal atoms, bonds, aromatic_chain, closures, previous
         if branch_stack:
             raise SmilesSyntaxError("unclosed branch")
         if open_rings:
@@ -258,10 +277,13 @@ def parse_smiles(text: str) -> list[Molecule]:
             raise SmilesSyntaxError("dangling bond symbol")
         if not atoms:
             raise SmilesSyntaxError("empty component")
+        if aromatic_chain:
+            _demote_aromatic_bridges(len(atoms), bonds, aromatic_chain, closures)
+        source = text[component_start:end]
         molecules.append(
-            Molecule(tuple(atoms), tuple(bonds), text[component_start:end])
+            Molecule(tuple(atoms), tuple(bonds), source, _key=_KEYS.get(source), _from_text=True)
         )
-        atoms, bonds = [], []
+        atoms, bonds, aromatic_chain, closures = [], [], [], []
         previous = None
 
     def add_atom(atom: Atom) -> None:
@@ -269,14 +291,10 @@ def parse_smiles(text: str) -> list[Molecule]:
         atoms.append(atom)
         index = len(atoms) - 1
         if previous is not None:
-            symbol = pending_bond
-            if symbol is None:
-                order = default_order(previous, index)
-                direction = None
-            else:
-                order = _BOND_CHAR[symbol]
-                direction = symbol if symbol in ("/", "\\") else None
-            bonds.append(Bond(previous, index, order, direction))
+            bond = make_bond(previous, index, pending_bond)
+            if bond.order == AROMATIC and atoms[previous].aromatic and atom.aromatic:
+                aromatic_chain.append(len(bonds))
+            bonds.append(bond)
         elif pending_bond is not None:
             raise SmilesSyntaxError("bond symbol before first atom of a component")
         pending_bond = None
@@ -296,17 +314,10 @@ def parse_smiles(text: str) -> list[Molecule]:
             symbol = sym_close if sym_close is not None else sym_open
             if other == previous:
                 raise SmilesSyntaxError(f"ring closure {number} bonds an atom to itself")
-            if symbol is None:
-                order = default_order(other, previous)
-                direction = None
-            else:
-                order = _BOND_CHAR[symbol]
-                direction = symbol if symbol in ("/", "\\") else None
-            if any(
-                {b.a, b.b} == {other, previous} for b in bonds
-            ):
+            if any({b.a, b.b} == {other, previous} for b in bonds):
                 raise SmilesSyntaxError(f"duplicate bond via ring closure {number}")
-            bonds.append(Bond(other, previous, order, direction))
+            closures.append(len(bonds))
+            bonds.append(make_bond(other, previous, symbol))
         else:
             open_rings[number] = (previous, pending_bond)
         pending_bond = None
@@ -377,6 +388,36 @@ def parse_smiles(text: str) -> list[Molecule]:
 
     close_component(length)
     return molecules
+
+
+def _demote_aromatic_bridges(
+    n: int, bonds: list[Bond], candidates: list[int], closures: list[int]
+) -> None:
+    """Make each candidate chain bond that lies on no ring single, in place.
+
+    The chain bonds (all but the ring closures) form a spanning tree whose
+    atoms are numbered in preorder, so the subtree under atom x is the index
+    range [x, end[x]). The chain bond into x lies on a ring exactly when some
+    ring-closure bond has one end inside that range and one outside: linear
+    time, one pass from the last atom back to the first.
+    """
+    parent = [0] * n
+    closure_set = set(closures)
+    for k, bond in enumerate(bonds):
+        if k not in closure_set:
+            parent[bond.b] = bond.a
+    low, high, end = list(range(n)), list(range(n)), list(range(1, n + 1))
+    for k in closures:
+        a, b = bonds[k].a, bonds[k].b
+        low[a], high[a] = min(low[a], b), max(high[a], b)
+        low[b], high[b] = min(low[b], a), max(high[b], a)
+    for x in range(n - 1, 0, -1):
+        p = parent[x]
+        low[p], high[p], end[p] = min(low[p], low[x]), max(high[p], high[x]), max(end[p], end[x])
+    for k in candidates:
+        x = bonds[k].b
+        if low[x] >= x and high[x] < end[x]:
+            bonds[k] = Bond(bonds[k].a, x, SINGLE)
 
 
 # ---------------------------------------------------------------------------
@@ -623,7 +664,19 @@ def canonical_key(m: Molecule) -> CanonicalKey:
         root = ranks.index(0)
         text, _ = write_rooted(m, root, include_maps=False, include_stereo=False)
         m._key = CanonicalKey(text)
+        if m._from_text:
+            _KEYS[m.source_text] = m._key
     return m._key
+
+
+def smiles_keys(text: str) -> list[CanonicalKey]:
+    """Canonical key of each '.'-separated component of text, in order: from
+    the key table when every component is in it, else parsed (and raising) as
+    by parse_smiles."""
+    keys = [_KEYS.get(part) for part in text.split(".")]
+    if None in keys:
+        keys = [canonical_key(m) for m in parse_smiles(text)]
+    return keys
 
 
 def corresponding_atom(src: Molecule, index: int, dst: Molecule) -> int:

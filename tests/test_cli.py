@@ -278,6 +278,71 @@ def test_score_strict_delimiters_via_config(work, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_score_plan_text_must_be_a_string(work, tmp_path, capsys):
+    row = {"target": "CCO", "plan_text": 42, "references": [["CC"]], "ref_depth": 1}
+    plans = write_jsonl(tmp_path / "plans.jsonl", [row])
+    assert main(["score", plans, work.dataset, "-o", str(tmp_path / "s.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: plan 0: plan_text must be a JSON string\n"
+
+
+# Rows each command must reject with exit code 2 and one line, never a traceback.
+_ENTRY = {"plan_id": "a", "precursors": ["CC=O", "O"], "depth": 1}
+_SCORE = {"target": "CCO", "plan_text": WRAP + "CCO>>CC=O.O", "references": [["CC=O", "O"]], "ref_depth": 1}
+
+
+@pytest.mark.parametrize(
+    "command, row, needle",
+    [
+        ("eval", {"target": "@", "candidates": [{"depth": 1}]}, "candidate 0: missing 'precursors'"),
+        ("eval", {"target": "@", "candidates": {"precursors": ["O"], "depth": 1}}, "candidates must be a JSON array"),
+        ("eval", {"target": "@", "candidates": [{"precursors": "O", "depth": 1}]}, "expected a list of SMILES strings"),
+        ("vote", {"target": "CCO", "entries": [dict(_ENTRY, precursors="CC=O")]}, "expected a list of SMILES strings"),
+        ("vote", {"target": "CCO", "entries": "abc"}, "entries must be a JSON array"),
+        ("vote", {"target": "CCO", "entries": [dict(_ENTRY, depth="deep")]}, "depth must be a non-negative integer"),
+        ("vote", {"target": "CCO", "entries": [dict(_ENTRY, depth=True)]}, "depth must be a non-negative integer"),
+        ("eval", {"target": "@", "candidates": [{"precursors": ["O"], "depth": -1}]}, "depth must be a non-negative integer"),
+        ("score", dict(_SCORE, ref_depth=True), "ref_depth must be a non-negative integer"),
+        ("score", dict(_SCORE, ref_depth=-2), "ref_depth must be a non-negative integer"),
+        ("score", dict(_SCORE, ref_depth=1.5), "ref_depth must be a non-negative integer"),
+        ("score", dict(_SCORE, references=[["O"], "CC=O"]), "reference 1: expected a list of SMILES strings"),
+        ("score", dict(_SCORE, target=["CCO"]), "target must be a JSON string"),
+        ("score", dict(_SCORE, references=[["CC=O", "C("]]), "plan 0 reference 0: unclosed branch"),
+        ("vote", {"target": "C1CC", "entries": [_ENTRY]}, "slate 0 target: unclosed ring closure"),
+    ],
+    ids=[
+        "eval-candidate-without-precursors",
+        "eval-candidates-not-a-list",
+        "eval-precursors-not-a-list",
+        "vote-precursors-not-a-list",
+        "vote-entries-not-a-list",
+        "vote-depth-not-an-int",
+        "vote-depth-bool",
+        "eval-depth-negative",
+        "score-ref-depth-bool",
+        "score-ref-depth-negative",
+        "score-ref-depth-float",
+        "score-reference-group-not-a-list",
+        "score-target-not-a-string",
+        "score-bad-reference-smiles",
+        "vote-bad-target-smiles",
+    ],
+)
+def test_bad_row_fields_exit_two_with_one_line(work, tmp_path, capsys, command, row, needle):
+    if row.get("target") == "@":
+        row = dict(row, target=work.records[0].raw["target"])
+    rows = write_jsonl(tmp_path / "rows.jsonl", [row])
+    argv = {
+        "score": ["score", rows, work.dataset],
+        "vote": ["vote", rows],
+        "eval": ["eval", rows, work.dataset],
+    }[command]
+    assert main(argv + ["-o", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert needle in err
+
+
 # ---------------------------------------------------------------------------
 # vote and eval
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
 
@@ -9,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from generators import rand_route_record
+from generators import rand_dataset, rand_route_record
+from retroroute import reward, smiles
 from retroroute.align import align_route, render_sequence
+from retroroute.cli import main
 from retroroute.errors import ConfigError, DomainError
 from retroroute.reward import (
     DEFAULT_DELIMITERS,
@@ -21,7 +24,7 @@ from retroroute.reward import (
     score_plan,
     weighted_loss,
 )
-from retroroute.routes import route_depth, to_tree
+from retroroute.routes import route_depth, to_tree, write_dataset
 from retroroute.smiles import canonical_key, parse_smiles
 
 TOL = 1e-12
@@ -175,6 +178,55 @@ def test_invalid_line_count_is_per_line():
     plan = parse_plan(wrapped("CCO>>Cl(C)C.OO(O)O", "Cl(C)C>>CC"), mol("CCO"))
     assert plan.parsed_route is not None
     assert plan.invalid_line_count == 2
+
+
+def test_repeated_bad_precursor_is_a_failure_on_each_line():
+    plan = parse_plan(wrapped("CCO>>CC=O.C(", "CC=O>>CC.C("), mol("CCO"))
+    assert plan.parsed_route is not None
+    assert [(f.line_number, f.kind) for f in plan.parse_failures] == [(2, "syntax"), (3, "syntax")]
+    plan = parse_plan(wrapped("CCO>>CC=O.Cl(C)C", "CC=O>>CC.Cl(C)C"), mol("CCO"))
+    assert [(f.line_number, f.kind) for f in plan.parse_failures] == [(2, "valence"), (3, "valence")]
+    assert plan.invalid_line_count == 2
+
+
+def test_each_text_is_parsed_once_per_plan(monkeypatch):
+    texts = []
+
+    def counting(text):
+        texts.append(text)
+        return parse_smiles(text)
+
+    monkeypatch.setattr(reward, "parse_smiles", counting)
+    text = wrapped("CCO>>CC=O.O", "CC=O>>CC.O", "CC>>C.C")
+    plan = parse_plan(text, mol("CCO"))
+    assert sorted(texts) == ["C", "CC", "CC=O", "CCO", "O"]
+    assert plan.parsed_route.stock_refs == keys_of("O", "C")
+    texts.clear()
+    assert parse_plan(text, mol("CCO")).parsed_route.stock_refs == keys_of("O", "C")
+    assert len(texts) == 5  # the per-plan dict dies with the call
+
+
+def test_score_output_is_the_same_with_the_key_table_cold_or_warm(tmp_path, capsys):
+    records = rand_dataset(random.Random(3), 3, convergence=0.2, max_depth=4)
+    dataset = tmp_path / "dataset.json"
+    write_dataset(records, dataset)
+    rows = [
+        {"target": r.raw["target"], "plan_text": wrapped(render_sequence(align_route(to_tree(r.route), 0)))}
+        for r in records
+    ] + [{"target": "CCO", "plan_text": wrapped("CCO>>CC=O.O"), "references": [["CC=O", "O"]], "ref_depth": 1}]
+    plans = tmp_path / "plans.jsonl"
+    plans.write_text("".join(json.dumps(row) + "\n" for row in rows + rows), encoding="utf-8")
+    outputs = []
+    for label in ("cold", "warm"):
+        if label == "cold":
+            smiles._KEYS.clear()
+        out = tmp_path / f"{label}.jsonl"
+        assert main(["score", str(plans), str(dataset), "-o", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert smiles._KEYS
+    assert outputs[0] == outputs[1]
+    assert [json.loads(line)["total"] for line in outputs[0].splitlines()] == [2.0] * 8
+    assert capsys.readouterr().out.count("mean_reward 2.0") == 2
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import re
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 import golden
 from generators import rand_molecule, rand_smiles
+from retroroute import smiles
 from retroroute.smiles import (
     AROMATIC,
     DOUBLE,
@@ -26,6 +29,7 @@ from retroroute.smiles import (
     is_isomorphic,
     molecule_is_valid,
     parse_smiles,
+    smiles_keys,
     write_rooted,
 )
 
@@ -278,6 +282,83 @@ def test_write_rooted_round_trips_random_molecules(seed, data):
 
 
 # ---------------------------------------------------------------------------
+# aromatic bonds on no ring
+# ---------------------------------------------------------------------------
+
+
+def test_ring_to_ring_bond_is_single_however_spelled():
+    spellings = [
+        "c1ccccc1c1ccccc1",
+        "c1ccccc1-c1ccccc1",
+        "c1ccc(cc1)c1ccccc1",
+        "c1ccccc1:c1ccccc1",
+    ]
+    keys = {canonical_key(one(text)) for text in spellings}
+    assert len(keys) == 1
+    m = one(spellings[0])
+    assert [b.order for b in m.bonds].count(SINGLE) == 1
+    assert [b.order for b in m.bonds].count(AROMATIC) == 12
+
+
+def test_terphenyl_and_heteroaryl_bridges_are_single():
+    assert canonical_key(one("c1ccc(cc1)c1ccc(cc1)c1ccccc1")) == canonical_key(
+        one("c1ccc(cc1)-c1ccc(cc1)-c1ccccc1")
+    )
+    assert canonical_key(one("c1ccncc1c1cccnc1")) == canonical_key(one("c1ccncc1-c1cccnc1"))
+
+
+def test_ring_bonds_and_kekule_spellings_stay_as_written():
+    # The last two close rings across branches, from a branch to a later atom.
+    for text in ("c1ccccc1", "c1ccc2ccccc2c1", "c1ccc2c(c1)nnn2O", "c1(c2)ccccc12", "c1(c2)cccc2c1"):
+        m = one(text)
+        assert all(b.order == AROMATIC for b in m.bonds if {b.a, b.b} <= _aromatic(m)), text
+    assert canonical_key(one("C1=CC=CC=C1")) != canonical_key(one("c1ccccc1"))
+    assert all(b.order in (SINGLE, DOUBLE) for b in one("C1=CC=CC=C1C1=CC=CC=C1").bonds)
+
+
+def _aromatic(m: Molecule) -> set[int]:
+    return {i for i, a in enumerate(m.atoms) if a.aromatic}
+
+
+def _on_ring(m: Molecule, k: int) -> bool:
+    """Brute force: bond k lies on a ring iff its ends stay connected without it."""
+    bond = m.bonds[k]
+    seen, stack = {bond.a}, [bond.a]
+    while stack:
+        i = stack.pop()
+        for j, other in enumerate(m.bonds):
+            if j != k and i in (other.a, other.b) and other.other(i) not in seen:
+                seen.add(other.other(i))
+                stack.append(other.other(i))
+    return bond.b in seen
+
+
+def test_unwritten_aromatic_bonds_match_a_brute_force_ring_test():
+    rng = random.Random(11)
+    checked = 0
+    for _ in range(1500):
+        m = rand_molecule(rng, min_atoms=12, max_atoms=24)
+        text, _ = write_rooted(m, rng.randrange(len(m.atoms)))
+        # Outside brackets '-' is only written between two aromatic atoms.
+        implicit = re.sub(r"-(?![^\[]*\])", "", text)
+        if implicit == text:
+            continue
+        checked += 1
+        aromatic = _aromatic(m)
+        expected = Molecule(
+            m.atoms,
+            tuple(
+                replace(bond, order=AROMATIC)
+                if bond.order == SINGLE and {bond.a, bond.b} <= aromatic and _on_ring(m, k)
+                else bond
+                for k, bond in enumerate(m.bonds)
+            ),
+        )
+        assert canonical_key(one(implicit)) == canonical_key(expected), text
+    assert checked > 100
+
+
+# ---------------------------------------------------------------------------
 # canonical_ranks / canonical_key
 # ---------------------------------------------------------------------------
 
@@ -451,3 +532,58 @@ def test_generated_smiles_reparse_to_same_key(seed):
     text = rand_smiles(rng)
     m = one(text)
     assert canonical_key(one(canonical_key(m).key)) == canonical_key(m)
+
+
+# ---------------------------------------------------------------------------
+# key table
+# ---------------------------------------------------------------------------
+
+
+def test_warm_table_keys_equal_cold_and_hand_built_keys():
+    rng = random.Random(5)
+    for _ in range(40):
+        m = rand_molecule(rng, max_atoms=16)
+        hand_built = canonical_key(Molecule(m.atoms, m.bonds))
+        for root in rng.sample(range(len(m.atoms)), min(3, len(m.atoms))):
+            text, _ = write_rooted(m, root)
+            smiles._KEYS.clear()
+            cold = canonical_key(one(text))
+            assert smiles._KEYS[text] == cold
+            warm = one(text)
+            assert warm._key == cold
+            assert canonical_key(warm) == cold == hand_built
+            assert smiles_keys(text) == [cold]
+
+
+def test_smiles_keys_answers_known_texts_without_parsing(monkeypatch):
+    smiles._KEYS.clear()
+    assert smiles_keys("CCO.O") == [canonical_key(one("OCC")), canonical_key(one("O"))]
+
+    def refuse(text):
+        raise AssertionError(f"parsed {text!r} again")
+
+    monkeypatch.setattr(smiles, "parse_smiles", refuse)
+    assert smiles_keys("O.CCO") == [canonical_key(one("O")), canonical_key(one("OCC"))]
+    with pytest.raises(AssertionError):
+        smiles_keys("CCO.N")
+
+
+def test_smiles_keys_raises_like_the_parser():
+    smiles._KEYS.clear()
+    canonical_key(one("CC"))
+    for text in ("", "CC..CC", "CC.C(", "CC."):
+        with pytest.raises(SmilesSyntaxError):
+            smiles_keys(text)
+
+
+def test_hand_built_molecule_neither_reads_nor_poisons_the_table():
+    smiles._KEYS.clear()
+    ethanol = canonical_key(one("CCO"))
+    ethane = one("CC")
+    liar = Molecule(ethane.atoms, ethane.bonds, "CCO")
+    assert canonical_key(liar) == canonical_key(one("CC")) != ethanol
+    assert smiles._KEYS["CCO"] == ethanol
+    other = Molecule(ethane.atoms, ethane.bonds, "CCN")
+    canonical_key(other)
+    assert "CCN" not in smiles._KEYS
+    assert canonical_key(one("CCN")) != canonical_key(other)

@@ -9,11 +9,10 @@ same way, so the whole linearized route reads from a single viewpoint.
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import MissingRootError
-from .routes import RouteNode, RouteTree
+from .routes import RouteNode, RouteTree, linearize_nodes
 from .smiles import canonical_ranks, corresponding_atom, write_rooted
 
 
@@ -45,14 +44,13 @@ def default_root(molecule) -> int:
 
 def align_route(tree: RouteTree, target_root: int) -> AlignedSequence:
     """Render every reaction of the tree from the viewpoint fixed by rooting
-    the target at atom index `target_root`."""
+    the target at atom index `target_root`, main chain first over the
+    aligned precursor order."""
     root_map: dict[int, int] = {tree.root.node_id: target_root}
-    steps_by_node: dict[int, AlignedStep] = {}
-    aligned_children: dict[int, tuple[RouteNode, ...]] = {}
+    steps: list[AlignedStep] = []
 
-    def visit(node: RouteNode) -> None:
-        if node.is_leaf:
-            return
+    def render(node: RouteNode) -> list[RouteNode]:
+        """Append the node's step; return its children in aligned order."""
         if node.node_id not in root_map:
             raise MissingRootError(f"no root assigned to tree node {node.node_id}")
         reaction = node.reaction
@@ -83,29 +81,17 @@ def align_route(tree: RouteTree, target_root: int) -> AlignedSequence:
             entries.append((anchor, i, text, child_root, child))
 
         entries.sort(key=lambda e: (e[0], e[1]))
-        steps_by_node[node.node_id] = AlignedStep(
-            product_text=product_text,
-            precursor_texts=tuple(e[2] for e in entries),
-            anchor_positions=tuple(e[0] for e in entries),
-            inherited_roots=tuple(e[3] for e in entries),
+        steps.append(
+            AlignedStep(
+                product_text=product_text,
+                precursor_texts=tuple(e[2] for e in entries),
+                anchor_positions=tuple(e[0] for e in entries),
+                inherited_roots=tuple(e[3] for e in entries),
+            )
         )
-        aligned_children[node.node_id] = tuple(e[4] for e in entries)
-        for child in node.children:
-            visit(child)
+        return [e[4] for e in entries]
 
-    visit(tree.root)
-
-    # Emit main-chain-first over the aligned child order.
-    steps: list[AlignedStep] = []
-    if not tree.root.is_leaf:
-        queue: deque[RouteNode] = deque([tree.root])
-        while queue:
-            node = queue.popleft()
-            while node is not None and not node.is_leaf:
-                steps.append(steps_by_node[node.node_id])
-                non_leaf = [c for c in aligned_children[node.node_id] if not c.is_leaf]
-                queue.extend(non_leaf[1:])
-                node = non_leaf[0] if non_leaf else None
+    linearize_nodes(tree, render)
     return AlignedSequence(tuple(steps), target_root, root_map)
 
 

@@ -28,10 +28,11 @@ from .evaluate import (
 from .reward import DEFAULT_DELIMITERS, RewardConfig, parse_plan, score_plan
 from .routes import (
     RouteRecord,
-    _record_from_raw,
     ingest_dataset,
     linearize_nodes,
     load_stock,
+    read_dataset,
+    record_from_raw,
     to_tree,
     validate_route,
 )
@@ -44,46 +45,59 @@ ROUTE_SEED_STRIDE = 1_000_003
 class PipelineConfig:
     dataset: str | None = None
     stock: str | None = None
-    out_dir: str | None = None
     reward: RewardConfig = RewardConfig()
     fold: int = 20
     seed: int = 0
-    tta: int = 16
     kmax: int = 5
     delimiters: tuple[str, str] = DEFAULT_DELIMITERS
     workers: int = 1
 
     def validate(self) -> None:
         self.reward.validate()
-        if self.fold < 1 or self.tta < 1 or self.kmax < 1 or self.workers < 1:
-            raise ConfigError("fold, tta, kmax and workers must all be at least 1")
+        if self.fold < 1 or self.kmax < 1 or self.workers < 1:
+            raise ConfigError("fold, kmax and workers must all be at least 1")
         for label, path in (("dataset", self.dataset), ("stock", self.stock)):
             if path is not None and not Path(path).exists():
                 raise ConfigError(f"configured {label} path does not exist: {path}")
 
 
-_CONFIG_KEYS = {
-    "dataset",
-    "stock",
-    "out_dir",
-    "reward",
-    "fold",
-    "seed",
-    "tta",
-    "kmax",
-    "delimiters",
-    "workers",
-    "strict_delimiters",
+# Accepted JSON types of each config key and each reward key, the first
+# naming the expectation; a bool is never taken for a number.
+_NUMBER = (float, int)
+_CONFIG_TYPES = {
+    "dataset": (str, type(None)),
+    "stock": (str, type(None)),
+    "reward": (dict,),
+    "fold": (int,),
+    "seed": (int,),
+    "kmax": (int,),
+    "delimiters": (list,),
+    "workers": (int,),
+    "strict_delimiters": (bool,),
 }
-_REWARD_KEYS = {
-    "format_score",
-    "exact_weight",
-    "similarity_weight",
-    "invalid_weight",
-    "depth_weight",
-    "invalid_cap",
-    "depth_cap",
+_REWARD_TYPES = {
+    "format_score": _NUMBER,
+    "exact_weight": _NUMBER,
+    "similarity_weight": _NUMBER,
+    "invalid_weight": _NUMBER,
+    "depth_weight": _NUMBER,
+    "invalid_cap": (int,),
+    "depth_cap": (int,),
 }
+_TYPE_NAMES = {
+    str: "a string", dict: "an object", int: "an integer", float: "a number",
+    list: "an array", bool: "a boolean",
+}
+
+
+def _check_types(path: str | Path, data: dict, types: dict, what: str) -> None:
+    unknown = set(data) - set(types)
+    if unknown:
+        raise ConfigError(f"{path}: unknown {what} keys {sorted(unknown)}")
+    for name, value in data.items():
+        kinds = types[name]
+        if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+            raise ConfigError(f"{path}: {name} must be {_TYPE_NAMES[kinds[0]]}")
 
 
 def load_config(path: str | Path | None) -> PipelineConfig:
@@ -95,33 +109,19 @@ def load_config(path: str | Path | None) -> PipelineConfig:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
-    unknown = set(data) - _CONFIG_KEYS
-    if unknown:
-        raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
+    _check_types(path, data, _CONFIG_TYPES, "config")
     reward_data = data.get("reward", {})
-    if not isinstance(reward_data, dict):
-        raise ConfigError(f"{path}: reward must be an object")
-    unknown = set(reward_data) - _REWARD_KEYS
-    if unknown:
-        raise ConfigError(f"{path}: unknown reward keys {sorted(unknown)}")
-    reward = RewardConfig(
-        **reward_data, strict_format=bool(data.get("strict_delimiters", False))
-    )
+    _check_types(path, reward_data, _REWARD_TYPES, "reward")
+    reward = RewardConfig(**reward_data, strict_format=data.get("strict_delimiters", False))
     delimiters = data.get("delimiters", list(DEFAULT_DELIMITERS))
-    if (
-        not isinstance(delimiters, (list, tuple))
-        or len(delimiters) != 2
-        or not all(isinstance(d, str) and d for d in delimiters)
-    ):
+    if len(delimiters) != 2 or not all(isinstance(d, str) and d for d in delimiters):
         raise ConfigError(f"{path}: delimiters must be two non-empty strings")
     config = PipelineConfig(
         dataset=data.get("dataset"),
         stock=data.get("stock"),
-        out_dir=data.get("out_dir"),
         reward=reward,
         fold=data.get("fold", 20),
         seed=data.get("seed", 0),
-        tta=data.get("tta", 16),
         kmax=data.get("kmax", 5),
         delimiters=(delimiters[0], delimiters[1]),
         workers=data.get("workers", 1),
@@ -132,7 +132,7 @@ def load_config(path: str | Path | None) -> PipelineConfig:
 
 def _apply_overrides(config: PipelineConfig, args: argparse.Namespace) -> PipelineConfig:
     updates: dict = {}
-    for name in ("fold", "seed", "tta", "kmax", "workers"):
+    for name in ("fold", "seed", "kmax", "workers"):
         value = getattr(args, name, None)
         if value is not None:
             updates[name] = value
@@ -223,7 +223,7 @@ def cmd_ingest(args: argparse.Namespace, config: PipelineConfig) -> int:
 
 def _align_worker(task: tuple[int, dict, int, int]) -> list[str]:
     index, raw, fold, base_seed = task
-    record = _record_from_raw(raw, index)
+    record = record_from_raw(raw, index)
     tree = to_tree(record.route)
     sequences = augment_roots(tree, fold, base_seed + ROUTE_SEED_STRIDE * index)
     lines = []
@@ -241,13 +241,7 @@ def _align_worker(task: tuple[int, dict, int, int]) -> list[str]:
 
 
 def cmd_align(args: argparse.Namespace, config: PipelineConfig) -> int:
-    dataset_path = _resolve_dataset(args, config)
-    try:
-        payload = json.loads(Path(dataset_path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{dataset_path}: not valid JSON ({exc})") from exc
-    if not isinstance(payload, list):
-        raise SchemaError(f"{dataset_path}: top level must be a JSON array")
+    payload = read_dataset(_resolve_dataset(args, config))
     tasks = [
         (index, raw, config.fold, config.seed) for index, raw in enumerate(payload)
     ]
@@ -541,7 +535,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("vote", help="rank slate entries by precursor-set votes")
     p.add_argument("slates")
-    p.add_argument("--tta", type=int)
     p.add_argument("-o", "--out")
     p.set_defaults(func=cmd_vote)
 
@@ -568,10 +561,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _apply_overrides(load_config(args.config), args)
         return args.func(args, config)
-    except (ConfigError, SchemaError, SmilesSyntaxError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (
+        ConfigError, SchemaError, SmilesSyntaxError, FileNotFoundError, UnicodeDecodeError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

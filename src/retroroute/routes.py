@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 from collections import Counter, deque
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -219,10 +220,7 @@ def validate_route(route: Route, stock: StockSet) -> ValidationReport:
     ]
     stepwise_offenders.extend(_find_cycle(route))
 
-    leaves = {key for key in consumed if key not in produced_counts}
-    if not route.reactions:
-        leaves = {target_key}
-    grounding_offenders = [key.key for key in leaves if key not in stock.keys]
+    grounding_offenders = [key.key for key in route.stock_refs if key not in stock.keys]
 
     return ValidationReport(
         target_convergence=CheckResult(
@@ -306,49 +304,54 @@ def to_tree(route: Route) -> RouteTree:
     return RouteTree(root, tuple(m for *_, m in duplicates), route)
 
 
-def linearize_nodes(tree: RouteTree) -> list[RouteNode]:
+def linearize_nodes(
+    tree: RouteTree,
+    children: Callable[[RouteNode], Iterable[RouteNode]] = lambda node: node.children,
+) -> list[RouteNode]:
     """Non-leaf nodes in main-chain-first order: from each reaction keep
     descending into its first non-leaf precursor; the remaining non-leaf
     precursors queue up as branches emitted afterward, each expanded the
-    same way. Child order is the stored precursor order."""
+    same way. `children` gives a node's precursor nodes in the order to
+    follow (by default the stored precursor order); it is called once for
+    each emitted node, after the call for its parent."""
     emitted: list[RouteNode] = []
     if tree.root.is_leaf:
         return emitted
     queue: deque[RouteNode] = deque([tree.root])
     while queue:
         node = queue.popleft()
-        while node is not None and not node.is_leaf:
+        while node is not None:
             emitted.append(node)
-            non_leaf = [child for child in node.children if not child.is_leaf]
+            non_leaf = [child for child in children(node) if not child.is_leaf]
             queue.extend(non_leaf[1:])
             node = non_leaf[0] if non_leaf else None
     return emitted
 
 
-def linearize(tree: RouteTree) -> list[Reaction]:
-    return [node.reaction for node in linearize_nodes(tree)]
-
-
 def route_depth(route: Route) -> int:
-    """Longest leaf-to-target distance in reaction steps."""
+    """Longest leaf-to-target distance in reaction steps. Raises CycleError
+    when a molecule is its own precursor, directly or through others."""
     producers = route.producer_of()
-    memo: dict[CanonicalKey, int] = {}
-
-    def depth_of(key: CanonicalKey, pending: set[CanonicalKey]) -> int:
-        if key in memo:
-            return memo[key]
+    depth: dict[CanonicalKey, int] = {}
+    on_path: set[CanonicalKey] = set()  # expanded, not yet finished
+    stack = [route.target_key]
+    while stack:
+        key = stack[-1]
         reaction = producers.get(key)
-        if reaction is None:
-            return 0
-        if key in pending:
-            raise CycleError(f"route contains a cycle through {key.key}")
-        pending.add(key)
-        value = 1 + max(depth_of(k, pending) for k in reaction.precursor_keys())
-        pending.discard(key)
-        memo[key] = value
-        return value
-
-    return depth_of(route.target_key, set())
+        if key in depth or reaction is None:
+            depth.setdefault(key, 0)
+            stack.pop()
+        elif key in on_path:
+            depth[key] = 1 + max(depth[k] for k in reaction.precursor_keys())
+            on_path.discard(key)
+            stack.pop()
+        else:
+            on_path.add(key)
+            for child in reaction.precursor_keys():
+                if child in on_path:
+                    raise CycleError(f"route contains a cycle through {child.key}")
+                stack.append(child)
+    return depth[route.target_key]
 
 
 # ---------------------------------------------------------------------------
@@ -367,14 +370,18 @@ class RouteRecord:
     raw: dict
 
 
-def _parse_single(text: str, where: str) -> Molecule:
+def _parse_single(text, where: str) -> Molecule:
+    if not isinstance(text, str):
+        raise SchemaError(f"{where}: expected a SMILES string")
     molecules = parse_smiles(text)
     if len(molecules) != 1:
         raise SchemaError(f"{where}: expected a single-component SMILES, got {len(molecules)}")
     return molecules[0]
 
 
-def _record_from_raw(raw: dict, index: int) -> RouteRecord:
+def record_from_raw(raw: dict, index: int) -> RouteRecord:
+    """One dataset entry, checked and parsed. Raises SchemaError /
+    SmilesSyntaxError naming the record."""
     where = f"record {index}"
     if not isinstance(raw, dict):
         raise SchemaError(f"{where}: expected an object")
@@ -387,7 +394,8 @@ def _record_from_raw(raw: dict, index: int) -> RouteRecord:
         raise SchemaError(f"{where}: reactions must be a list")
     if not isinstance(raw["references"], list) or not raw["references"]:
         raise SchemaError(f"{where}: references must be a non-empty list of lists")
-    if not isinstance(raw["ref_depth"], int) or raw["ref_depth"] < 0:
+    ref_depth = raw["ref_depth"]
+    if isinstance(ref_depth, bool) or not isinstance(ref_depth, int) or ref_depth < 0:
         raise SchemaError(f"{where}: ref_depth must be a non-negative integer")
 
     try:
@@ -399,6 +407,8 @@ def _record_from_raw(raw: dict, index: int) -> RouteRecord:
                     f"{where} reaction {j}: expected object with product and precursors"
                 )
             product = _parse_single(entry["product"], f"{where} reaction {j} product")
+            if not isinstance(entry["precursors"], list):
+                raise SchemaError(f"{where} reaction {j}: precursors must be a list")
             if not entry["precursors"]:
                 raise SchemaError(f"{where} reaction {j}: empty precursor list")
             precursors = tuple(
@@ -424,19 +434,24 @@ def _record_from_raw(raw: dict, index: int) -> RouteRecord:
         raise SchemaError(f"{where}: {exc}") from exc
 
     route = Route.build(target, tuple(reactions))
-    return RouteRecord(route, tuple(references), raw["ref_depth"], index, raw)
+    return RouteRecord(route, tuple(references), ref_depth, index, raw)
 
 
-def ingest_dataset(path: str | Path) -> list[RouteRecord]:
-    """Load a dataset file. Raises SchemaError / SmilesSyntaxError annotated
-    with the failing record index."""
+def read_dataset(path: str | Path) -> list:
+    """The raw entries of a dataset file: a JSON array, otherwise SchemaError."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(payload, list):
         raise SchemaError(f"{path}: top level must be a JSON array")
-    return [_record_from_raw(raw, index) for index, raw in enumerate(payload)]
+    return payload
+
+
+def ingest_dataset(path: str | Path) -> list[RouteRecord]:
+    """Load a dataset file. Raises SchemaError / SmilesSyntaxError annotated
+    with the failing record index."""
+    return [record_from_raw(raw, index) for index, raw in enumerate(read_dataset(path))]
 
 
 def write_dataset(records: list[RouteRecord], path: str | Path) -> None:

@@ -1,4 +1,4 @@
-"""SMILES molecular graphs: parsing, rooted writing, canonical ranks, isomorphism.
+"""SMILES molecular graphs: parsing, rooted writing, canonical ranks and keys.
 
 The dialect is the organic subset plus bracket atoms (isotope, charge,
 explicit hydrogens, atom maps), ring closures including %nn, and the bond
@@ -6,7 +6,7 @@ symbols - = # : / \\. Aromaticity is taken as written (lowercase atoms),
 never re-perceived, and nothing is kekulized, except that an aromatic bond
 between two aromatic atoms that lies on no ring (the unwritten ring-to-ring
 bond of c1ccccc1c1ccccc1) is read as single. Stereo marks are carried through
-verbatim but take no part in ranking or isomorphism.
+verbatim but take no part in ranking or keys.
 
 Key table: the module keeps one process-wide dict from the exact text of a
 component that parse_smiles read to the CanonicalKey that canonical_key
@@ -21,7 +21,6 @@ read nor fill it. Each pool worker has its own copy.
 from __future__ import annotations
 
 import re
-import sys
 from dataclasses import dataclass, field
 
 from .errors import SmilesSyntaxError
@@ -630,9 +629,18 @@ def write_rooted(
         ring_digits[bond.a].append((digit, bond))
         ring_digits[bond.b].append((digit, bond))
 
+    # Second traversal writes the text. The stack holds (text before the
+    # atom, atom) pairs and the ")" that closes each branch; a node's branches
+    # come first in order, each in parentheses, then its last child.
     pieces: list[str] = []
-
-    def emit(atom: int) -> None:
+    stack: list[tuple[str, int] | str] = [("", root)]
+    while stack:
+        item = stack.pop()
+        if item == ")":
+            pieces.append(item)
+            continue
+        prefix, atom = item
+        pieces.append(prefix)
         pieces.append(_atom_token(m, atom, include_maps, include_stereo))
         for digit, bond in sorted(ring_digits[atom]):
             late_end = bond.a if position[bond.a] > position[bond.b] else bond.b
@@ -640,19 +648,12 @@ def write_rooted(
                 pieces.append(_bond_token(m, bond, include_stereo))
             pieces.append(_digit_token(digit))
         children = tree_children[atom]
-        for bond in children[:-1]:
-            pieces.append("(")
-            pieces.append(_bond_token(m, bond, include_stereo))
-            emit(bond.other(atom))
-            pieces.append(")")
         if children:
             bond = children[-1]
-            pieces.append(_bond_token(m, bond, include_stereo))
-            emit(bond.other(atom))
-
-    if n + 10 > sys.getrecursionlimit():
-        sys.setrecursionlimit(n * 2 + 100)
-    emit(root)
+            stack.append((_bond_token(m, bond, include_stereo), bond.other(atom)))
+            for bond in reversed(children[:-1]):
+                stack.append(")")
+                stack.append(("(" + _bond_token(m, bond, include_stereo), bond.other(atom)))
     return "".join(pieces), atom_order
 
 
@@ -686,93 +687,6 @@ def corresponding_atom(src: Molecule, index: int, dst: Molecule) -> int:
         raise ValueError("molecules are not the same structure")
     rank = canonical_ranks(src)[index]
     return canonical_ranks(dst).index(rank)
-
-
-# ---------------------------------------------------------------------------
-# Isomorphism
-# ---------------------------------------------------------------------------
-
-
-def _node_invariant(m: Molecule, i: int) -> tuple:
-    atom = m.atoms[i]
-    return (
-        atom.element,
-        atom.charge,
-        atom.isotope or 0,
-        atom.aromatic,
-        m.effective_hydrogens(i),
-        m.degree(i),
-        tuple(sorted(BOND_CODE[bond.order] for bond in m.adjacency[i])),
-    )
-
-
-def is_isomorphic(a: Molecule, b: Molecule) -> bool:
-    """Exact VF2-style graph match on element, charge, isotope, aromaticity,
-    hydrogen count and bond order. Map numbers and stereo are ignored."""
-    n = len(a.atoms)
-    if n != len(b.atoms) or len(a.bonds) != len(b.bonds):
-        return False
-    inv_a = [_node_invariant(a, i) for i in range(n)]
-    inv_b = [_node_invariant(b, i) for i in range(n)]
-    if sorted(inv_a) != sorted(inv_b):
-        return False
-
-    # Connected query order so every atom after the first is anchored.
-    order: list[int] = [0]
-    seen = {0}
-    cursor = 0
-    while cursor < len(order):
-        for bond in a.adjacency[order[cursor]]:
-            other = bond.other(order[cursor])
-            if other not in seen:
-                seen.add(other)
-                order.append(other)
-        cursor += 1
-    if len(order) != n:
-        raise ValueError("molecule graph is not connected")
-
-    mapping: dict[int, int] = {}
-    reverse: dict[int, int] = {}
-
-    def edges_to_mapped(m_: Molecule, i: int, placed: dict[int, int]) -> list[tuple[int, str]]:
-        return [
-            (placed[bond.other(i)], bond.order)
-            for bond in m_.adjacency[i]
-            if bond.other(i) in placed
-        ]
-
-    def extend(k: int) -> bool:
-        if k == n:
-            return True
-        u = order[k]
-        required = sorted(edges_to_mapped(a, u, mapping))
-        if required:
-            anchor_image, _ = required[0]
-            candidates = [bond.other(anchor_image) for bond in b.adjacency[anchor_image]]
-        else:
-            candidates = range(n)
-        for v in candidates:
-            if v in reverse or inv_b[v] != inv_a[u]:
-                continue
-            if sorted((mapping[x], o) for x, o in (
-                (bond.other(u), bond.order) for bond in a.adjacency[u]
-            ) if x in mapping) != sorted(
-                (x2, o2)
-                for x2, o2 in (
-                    (bond.other(v), bond.order) for bond in b.adjacency[v]
-                )
-                if x2 in reverse
-            ):
-                continue
-            mapping[u] = v
-            reverse[v] = u
-            if extend(k + 1):
-                return True
-            del mapping[u]
-            del reverse[v]
-        return False
-
-    return extend(0)
 
 
 def molecule_is_valid(m: Molecule) -> bool:

@@ -17,13 +17,14 @@ from collections import Counter
 
 import golden
 from generators import rand_dataset, rand_molecule, rand_route_record
+from isomorphism import is_isomorphic
 from retroroute.align import align_route, default_root, render_sequence
 from retroroute.cli import main
 from retroroute.consensus import CandidateSlate, SlateEntry, vote
 from retroroute.evaluate import levenshtein, nld_profile
 from retroroute.reward import RewardConfig, jaccard, parse_plan, score_plan
 from retroroute.routes import linearize_nodes, route_depth, to_tree, write_dataset
-from retroroute.smiles import canonical_key, is_isomorphic, parse_smiles, write_rooted
+from retroroute.smiles import canonical_key, parse_smiles, write_rooted
 
 TOL = 1e-12
 WRAP = "<think>retro analysis</think>\n"

@@ -9,6 +9,7 @@ import pytest
 
 import golden
 from generators import rand_route_record
+from isomorphism import is_isomorphic
 from retroroute.align import (
     AlignedSequence,
     align_route,
@@ -22,7 +23,6 @@ from retroroute.routes import Reaction, Route, to_tree
 from retroroute.smiles import (
     canonical_key,
     canonical_ranks,
-    is_isomorphic,
     parse_smiles,
 )
 

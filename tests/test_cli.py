@@ -94,6 +94,16 @@ def test_ingest_rejects_broken_dataset_json(work, tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["ingest", "align"])
+def test_dataset_that_is_not_utf8_exits_two(work, tmp_path, capsys, command):
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('[{"target": "CCO", "note": "\u00e9"}]'.encode("latin-1"))
+    args = [command, str(latin1)] + ([work.stock] if command == "ingest" else [])
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_missing_dataset_file_exits_two(work, tmp_path, capsys):
     assert main(["ingest", str(tmp_path / "nope.json"), work.stock]) == 2
     assert capsys.readouterr().err.startswith("error:")
@@ -555,13 +565,27 @@ def test_nld_route_index_out_of_range(work, capsys):
         ({"delimiters": ["only-one"]}, "two non-empty strings"),
         ({"fold": 0}, "at least 1"),
         ({"dataset": "/nonexistent/routes.json"}, "does not exist"),
+        ({"tta": 16}, "unknown config keys ['tta']"),
+        ({"out_dir": "out"}, "unknown config keys ['out_dir']"),
+        ({"fold": "20"}, "fold must be an integer"),
+        ({"seed": "x"}, "seed must be an integer"),
+        ({"workers": 1.5}, "workers must be an integer"),
+        ({"kmax": True}, "kmax must be an integer"),
+        ({"dataset": 5}, "dataset must be a string"),
+        ({"reward": []}, "reward must be an object"),
+        ({"reward": {"exact_weight": "1"}}, "exact_weight must be a number"),
+        ({"reward": {"depth_cap": 1.5}}, "depth_cap must be an integer"),
+        ({"strict_delimiters": 1}, "strict_delimiters must be a boolean"),
+        ({"delimiters": "ab"}, "delimiters must be an array"),
     ],
 )
 def test_bad_config_exits_two(work, tmp_path, capsys, payload, needle):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(payload), encoding="utf-8")
     assert main(["--config", str(config), "ingest", work.dataset, work.stock]) == 2
-    assert needle in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert needle in err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_fold_flag_must_be_positive(work, tmp_path, capsys):

@@ -173,6 +173,18 @@ def test_parse_rejects_cyclic_plan():
     assert any("cycle" in f.message for f in plan.parse_failures)
 
 
+def test_thousand_line_chain_plan_gets_a_score():
+    # [1001CH4]>>[1000CH4], ..., [2CH4]>>[1CH4]: one-atom molecules told apart
+    # by isotope, so keying is cheap and only the depth is long.
+    lines = [f"[{k + 1}CH4]>>[{k}CH4]" for k in range(1000, 0, -1)]
+    plan = parse_plan(wrapped(*lines), mol("[1001CH4]"))
+    assert plan.parsed_route is not None
+    assert route_depth(plan.parsed_route) == 1000
+    result = score_plan(plan, [keys_of("[1CH4]")], ref_depth=999)
+    assert result.exact and result.depth_excess == 1
+    assert math.isclose(result.total, 0.5 + 1.5 - 0.2)
+
+
 def test_invalid_line_count_is_per_line():
     # Line one holds two broken molecules, line two one; a line counts once.
     plan = parse_plan(wrapped("CCO>>Cl(C)C.OO(O)O", "Cl(C)C>>CC"), mol("CCO"))

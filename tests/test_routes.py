@@ -16,7 +16,6 @@ from retroroute.routes import (
     RouteRecord,
     StockSet,
     ingest_dataset,
-    linearize,
     linearize_nodes,
     load_stock,
     route_depth,
@@ -275,7 +274,7 @@ def test_linearize_main_chain_before_branches():
         rxn("COC", "CO"),
         rxn("CCCC", "CC"),
     )
-    products = [canonical_key(x.product) for x in linearize(to_tree(r))]
+    products = [canonical_key(x.reaction.product) for x in linearize_nodes(to_tree(r))]
     # Chase the first branch to its end, then pick up the queued one.
     assert products == [key("CCCCOC"), key("CCCCO"), key("CCCC"), key("COC")]
 
@@ -289,7 +288,7 @@ def test_linearize_branches_emit_in_fifo_order():
         rxn("CCC", "CC"),
         rxn("OC", "O"),
     )
-    products = [canonical_key(x.product) for x in linearize(to_tree(r))]
+    products = [canonical_key(x.reaction.product) for x in linearize_nodes(to_tree(r))]
     assert products == [
         key("CCCCCO"),
         key("CCCCC"),
@@ -307,7 +306,9 @@ def test_linearize_trivial_routes():
 
 def test_linearize_golden_route_matches_box_order():
     record = golden.build_record()
-    products = [canonical_key(x.product).key for x in linearize(to_tree(record.route))]
+    products = [
+        canonical_key(x.reaction.product).key for x in linearize_nodes(to_tree(record.route))
+    ]
     assert products == golden.step_product_keys()
 
 
@@ -451,6 +452,11 @@ def test_ingest_write_fixpoint(tmp_path):
             "empty precursor list",
         ),
         (lambda raw: raw.update(target="C.C"), "single-component"),
+        (lambda raw: raw["reactions"][0].update(product=42), "reaction 0 product"),
+        (lambda raw: raw["reactions"][0].update(precursors=[42]), "reaction 0 precursor 0"),
+        (lambda raw: raw["reactions"][0].update(precursors="CCO"), "precursors must be a list"),
+        (lambda raw: raw.update(references=[["CC=O", 42]]), "reference 0: expected a SMILES"),
+        (lambda raw: raw.update(ref_depth=True), "ref_depth must be a non-negative integer"),
     ],
 )
 def test_ingest_schema_errors_name_the_record(tmp_path, mutate, needle):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import re
+import sys
 from dataclasses import replace
 from itertools import combinations
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 import golden
 from generators import rand_molecule, rand_smiles
+from isomorphism import is_isomorphic
 from retroroute import smiles
 from retroroute.smiles import (
     AROMATIC,
@@ -26,7 +28,6 @@ from retroroute.smiles import (
     canonical_key,
     canonical_ranks,
     corresponding_atom,
-    is_isomorphic,
     molecule_is_valid,
     parse_smiles,
     smiles_keys,
@@ -279,6 +280,17 @@ def test_write_rooted_round_trips_random_molecules(seed, data):
     assert order[0] == root
     assert sorted(order) == list(range(len(m.atoms)))
     assert is_isomorphic(one(rendered), m)
+
+
+def test_write_rooted_thousand_atoms_keeps_the_recursion_limit():
+    # 500 carbons, each with an OH: every carbon but the last opens a branch,
+    # so the text nests 499 parentheses deep.
+    limit = sys.getrecursionlimit()
+    m = one("C(O)" * 500)
+    text, order = write_rooted(m, 0)
+    assert text == "C(" * 499 + "CO" + ")O" * 499
+    assert sorted(order) == list(range(1000))
+    assert sys.getrecursionlimit() == limit
 
 
 # ---------------------------------------------------------------------------

@@ -32,11 +32,12 @@ from .routes import (
     linearize_nodes,
     load_stock,
     read_dataset,
+    read_text,
     record_from_raw,
     to_tree,
     validate_route,
 )
-from .smiles import CanonicalKey, canonical_key, parse_smiles, smiles_keys
+from .smiles import CanonicalKey, Molecule, canonical_key, parse_smiles, smiles_keys
 
 ROUTE_SEED_STRIDE = 1_000_003
 
@@ -104,7 +105,7 @@ def load_config(path: str | Path | None) -> PipelineConfig:
     if path is None:
         return PipelineConfig()
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(data, dict):
@@ -161,9 +162,7 @@ def _write_lines(out: str | None, lines: list[str]) -> None:
 
 def _read_jsonl(path: str) -> list[dict]:
     rows: list[dict] = []
-    for line_number, line in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
-    ):
+    for line_number, line in enumerate(read_text(path).splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
@@ -305,8 +304,8 @@ def _key_set(texts, where: str) -> frozenset[CanonicalKey]:
 
 
 def _score_worker(task: tuple) -> str:
-    index, target_text, plan_text, references, ref_depth, reward, delimiters = task
-    plan = parse_plan(plan_text, parse_smiles(target_text)[0], delimiters)
+    index, target, plan_text, references, ref_depth, reward, delimiters = task
+    plan = parse_plan(plan_text, target, delimiters)
     return _dumps({"index": index, **asdict(score_plan(plan, references, ref_depth, reward))})
 
 
@@ -315,6 +314,7 @@ def cmd_score(args: argparse.Namespace, config: PipelineConfig) -> int:
     config.reward.validate()
     rows = _read_jsonl(args.plans)
     by_key = {record.route.target_key: record for record in ingest_dataset(dataset_path)}
+    targets: dict[str, Molecule] = {}  # each distinct target text parsed once
     tasks = []
     for index, row in enumerate(rows):
         where = f"plan {index}"
@@ -331,8 +331,11 @@ def cmd_score(args: argparse.Namespace, config: PipelineConfig) -> int:
         else:
             references = record.references
         ref_depth = _depth(row, "ref_depth", where) if "ref_depth" in row else record.ref_depth
+        if row["target"] not in targets:
+            targets[row["target"]] = parse_smiles(row["target"])[0]
         tasks.append(
-            (index, row["target"], plan_text, references, ref_depth, config.reward, config.delimiters)
+            (index, targets[row["target"]], plan_text, references, ref_depth,
+             config.reward, config.delimiters)
         )
     out_lines = _map_ordered(_score_worker, tasks, config.workers)
     _write_lines(args.out, out_lines)
@@ -561,9 +564,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _apply_overrides(load_config(args.config), args)
         return args.func(args, config)
-    except (
-        ConfigError, SchemaError, SmilesSyntaxError, FileNotFoundError, UnicodeDecodeError
-    ) as exc:
+    except (ConfigError, SchemaError, SmilesSyntaxError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -98,19 +98,35 @@ def topk_accuracy(records: Sequence[EvalRecord], k_max: int = 5) -> EvalReport:
 
 
 def levenshtein(a: str, b: str) -> int:
-    """Unit-cost edit distance, two-row dynamic program."""
-    if len(a) < len(b):
-        a, b = b, a
-    previous = list(range(len(b) + 1))
-    for i, char_a in enumerate(a, start=1):
-        current = [i]
-        for j, char_b in enumerate(b, start=1):
-            cost = 0 if char_a == char_b else 1
-            current.append(
-                min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost)
-            )
-        previous = current
-    return previous[len(b)]
+    """Unit-cost edit distance by the bit-parallel algorithm of Myers (1999),
+    in Hyyrö's (2001) form for global distance. Bit i of `pv`/`mv` is set
+    where the current column of the edit-distance matrix rises/falls by one
+    from row i to row i + 1; the columns follow `b` one character at a time,
+    each a Python int as wide as `a`, and `score` tracks the bottom cell."""
+    if not a or not b:
+        return len(a) + len(b)
+    positions: dict[str, int] = {}
+    for i, char in enumerate(a):
+        positions[char] = positions.get(char, 0) | 1 << i
+    mask = (1 << len(a)) - 1
+    top = 1 << (len(a) - 1)
+    pv, mv, score = mask, 0, len(a)
+    for char in b:
+        eq = positions.get(char, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & top:
+            score += 1
+        elif mh & top:
+            score -= 1
+        # Row 0 is 0, 1, 2, ...: a +1 step enters at the low end.
+        ph = ph << 1 | 1
+        mh <<= 1
+        pv = (mh | ~(xv | ph)) & mask
+        mv = ph & xv & mask
+    return score
 
 
 def _sequence_lines(sequence: AlignedSequence | Sequence[str]) -> list[tuple[str, str]]:

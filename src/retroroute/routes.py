@@ -9,7 +9,6 @@ tree by duplicating each extra occurrence.
 
 from __future__ import annotations
 
-import itertools
 import json
 from collections import Counter, deque
 from collections.abc import Callable, Iterable
@@ -142,11 +141,19 @@ class StockSet:
     source_path: str
 
 
+def read_text(path: str | Path) -> str:
+    """The text of an input file, which must be UTF-8; otherwise SchemaError
+    naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text ({exc})") from exc
+
+
 def load_stock(path: str | Path) -> StockSet:
     """Read a newline-delimited SMILES file into canonical keys."""
     keys: set[CanonicalKey] = set()
-    text = Path(path).read_text(encoding="utf-8")
-    for line_number, line in enumerate(text.splitlines(), start=1):
+    for line_number, line in enumerate(read_text(path).splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
@@ -162,33 +169,33 @@ def load_stock(path: str | Path) -> StockSet:
 def _find_cycle(route: Route) -> list[str]:
     """Return keys on a cycle of the precursor->product graph, if any."""
     producers = route.producer_of()
+
+    def precursor_keys(key: CanonicalKey):
+        reaction = producers.get(key)
+        return iter(reaction.precursor_keys() if reaction is not None else ())
+
     WHITE, GRAY, BLACK = 0, 1, 2
     state: dict[CanonicalKey, int] = {}
-
-    def visit(key: CanonicalKey, trail: list[CanonicalKey]) -> list[str]:
-        state[key] = GRAY
-        trail.append(key)
-        reaction = producers.get(key)
-        if reaction is not None:
-            for child in reaction.precursor_keys():
-                mark = state.get(child, WHITE)
-                if mark == GRAY:
-                    start = trail.index(child)
-                    return [k.key for k in trail[start:]]
-                if mark == WHITE:
-                    cycle = visit(child, trail)
-                    if cycle:
-                        return cycle
-        trail.pop()
-        state[key] = BLACK
-        return []
-
     for reaction in route.reactions:
-        key = reaction.product_key
-        if state.get(key, WHITE) == WHITE:
-            cycle = visit(key, [])
-            if cycle:
-                return cycle
+        start = reaction.product_key
+        if state.get(start, WHITE) != WHITE:
+            continue
+        # Depth-first: trail[i] is the key whose precursors pending[i] yields.
+        state[start] = GRAY
+        trail, pending = [start], [precursor_keys(start)]
+        while pending:
+            child = next(pending[-1], None)
+            if child is None:
+                state[trail.pop()] = BLACK
+                pending.pop()
+                continue
+            mark = state.get(child, WHITE)
+            if mark == GRAY:
+                return [k.key for k in trail[trail.index(child):]]
+            if mark == WHITE:
+                state[child] = GRAY
+                trail.append(child)
+                pending.append(precursor_keys(child))
     return []
 
 
@@ -276,23 +283,22 @@ def to_tree(route: Route) -> RouteTree:
                 f"molecule {key.key} has more than one producing reaction"
             )
 
-    counter = itertools.count()
+    # Preorder with an explicit stack: a node's id is its position in
+    # `preorder`, and it joins its parent's children when it is taken.
+    preorder: list[RouteNode] = []
     occurrences: dict[CanonicalKey, list[RouteNode]] = {}
-
-    def build(molecule: Molecule, depth: int) -> RouteNode:
+    stack: list[tuple[Molecule, int, RouteNode | None]] = [(route.target, 0, None)]
+    while stack:
+        molecule, depth, parent = stack.pop()
         key = canonical_key(molecule)
-        reaction = producers.get(key)
-        children: tuple[RouteNode, ...] = ()
-        node_id = next(counter)
-        if reaction is not None:
-            children = tuple(
-                build(precursor, depth + 1) for precursor in reaction.precursors
-            )
-        node = RouteNode(node_id, molecule, reaction, children, depth)
+        node = RouteNode(len(preorder), molecule, producers.get(key), (), depth)
+        preorder.append(node)
         occurrences.setdefault(key, []).append(node)
-        return node
-
-    root = build(route.target, 0)
+        if parent is not None:
+            parent.children += (node,)
+        if node.reaction is not None:
+            stack.extend((m, depth + 1, node) for m in reversed(node.reaction.precursors))
+    root = preorder[0]
 
     duplicates: list[tuple[str, int, int, Molecule]] = []
     for key, nodes in occurrences.items():
@@ -440,7 +446,7 @@ def record_from_raw(raw: dict, index: int) -> RouteRecord:
 def read_dataset(path: str | Path) -> list:
     """The raw entries of a dataset file: a JSON array, otherwise SchemaError."""
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        payload = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(payload, list):

@@ -13,11 +13,14 @@ from types import SimpleNamespace
 import pytest
 
 import golden
+import retroroute.cli
 from generators import rand_dataset
-from retroroute.align import align_route, render_sequence
+from retroroute.align import align_route, default_root, render_sequence
 from retroroute.cli import main
 from retroroute.evaluate import depth_bucket
-from retroroute.routes import to_tree, write_dataset
+from retroroute.routes import ingest_dataset, linearize_nodes, to_tree, write_dataset
+from retroroute.smiles import canonical_key
+from test_evaluate import oracle_levenshtein
 
 WRAP = "<think>pick a disconnection</think>\n"
 
@@ -42,6 +45,27 @@ def golden_dataset(tmp_path_factory):
     path = tmp_path_factory.mktemp("golden") / "dataset.json"
     write_dataset([golden.build_record()], path)
     return str(path)
+
+
+@pytest.fixture(scope="module")
+def chain(tmp_path_factory):
+    """One 1,000-step chain route [1001CH4] <- [1000CH4] <- ... <- [1CH4]."""
+    base = tmp_path_factory.mktemp("chain")
+    steps = 1000
+    raw = {
+        "target": f"[{steps + 1}CH4]",
+        "reactions": [
+            {"product": f"[{k + 1}CH4]", "precursors": [f"[{k}CH4]"]}
+            for k in range(steps, 0, -1)
+        ],
+        "references": [["[1CH4]"]],
+        "ref_depth": steps,
+    }
+    dataset = base / "chain.json"
+    dataset.write_text(json.dumps([raw]), encoding="utf-8")
+    stock = base / "stock.smi"
+    stock.write_text("[1CH4]\n", encoding="utf-8")
+    return SimpleNamespace(dataset=str(dataset), stock=str(stock), steps=steps)
 
 
 def write_jsonl(path, rows) -> str:
@@ -102,6 +126,39 @@ def test_dataset_that_is_not_utf8_exits_two(work, tmp_path, capsys, command):
     assert main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+    assert str(latin1) in err
+
+
+@pytest.mark.parametrize("bad", ["config", "stock", "rows"])
+def test_input_file_that_is_not_utf8_is_named(work, tmp_path, capsys, bad):
+    latin1 = tmp_path / f"latin1.{bad}"
+    latin1.write_bytes('{"note": "\u00e9"}\n'.encode("latin-1"))
+    args = {
+        "config": ["--config", str(latin1), "ingest", work.dataset, work.stock],
+        "stock": ["ingest", work.dataset, str(latin1)],
+        "rows": ["vote", str(latin1)],
+    }[bad]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(latin1) in err
+
+
+@pytest.mark.parametrize("command", ["ingest", "align", "nld"])
+def test_thousand_step_chain_route_exits_zero(chain, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    args = {
+        "ingest": ["ingest", chain.dataset, chain.stock],
+        "align": ["align", chain.dataset, "--fold", "1", "-o", str(out)],
+        "nld": ["nld", chain.dataset, "-o", str(out)],
+    }[command]
+    assert main(args) == 0
+    if command == "ingest":
+        assert capsys.readouterr().out == "1 routes ok, 0 failed\n"
+    elif command == "align":
+        assert len(json.loads(out.read_text())["lines"]) == chain.steps
+    else:
+        assert len(out.read_text().splitlines()) == chain.steps + 1
 
 
 def test_missing_dataset_file_exits_two(work, tmp_path, capsys):
@@ -294,6 +351,27 @@ def test_score_plan_text_must_be_a_string(work, tmp_path, capsys):
     assert main(["score", plans, work.dataset, "-o", str(tmp_path / "s.jsonl")]) == 2
     err = capsys.readouterr().err
     assert err == "error: plan 0: plan_text must be a JSON string\n"
+
+
+def test_score_parses_each_target_text_once(work, tmp_path, capsys, monkeypatch):
+    rows = [
+        {"target": r.raw["target"], "plan_text": perfect_plan(r)} for r in work.records
+    ] * 3
+    plans = write_jsonl(tmp_path / "plans.jsonl", rows)
+    parsed = []
+    real_parse = retroroute.cli.parse_smiles
+    monkeypatch.setattr(
+        retroroute.cli, "parse_smiles", lambda text: parsed.append(text) or real_parse(text)
+    )
+    outputs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"scored_{workers}.jsonl"
+        assert main(["score", plans, work.dataset, "--workers", workers, "-o", str(out)]) == 0
+        outputs.append((out.read_bytes(), capsys.readouterr().out))
+        if workers == "1":
+            assert sorted(parsed) == sorted(r.raw["target"] for r in work.records)
+    assert outputs[0] == outputs[1]
+    assert outputs[0][1] == "mean_reward 2.0\n"
 
 
 # Rows each command must reject with exit code 2 and one line, never a traceback.
@@ -537,6 +615,29 @@ def test_nld_aligned_beats_canonical_on_average(golden_dataset, tmp_path):
         values = [float(line.split(",")[3]) for line in out.read_text().splitlines()[1:]]
         means[mode] = sum(values) / len(values)
     assert means["aligned"] < means["canonical"]
+
+
+@pytest.mark.parametrize("mode", ["aligned", "canonical"])
+def test_nld_csv_matches_full_matrix_oracle(golden_dataset, tmp_path, mode):
+    out = tmp_path / "nld.csv"
+    assert main(["nld", golden_dataset, "--mode", mode, "-o", str(out)]) == 0
+    tree = to_tree(ingest_dataset(golden_dataset)[0].route)
+    if mode == "aligned":
+        sequence = align_route(tree, default_root(tree.root.molecule))
+        lines = render_sequence(sequence).split("\n")
+    else:
+        lines = [
+            canonical_key(node.reaction.product).key
+            + ">>"
+            + ".".join(canonical_key(m).key for m in node.reaction.precursors)
+            for node in linearize_nodes(tree)
+        ]
+    target = lines[0].partition(">>")[0]
+    values = [float(row.split(",")[3]) for row in out.read_text().splitlines()[1:]]
+    assert len(values) == len(lines) == 9
+    for value, line in zip(values, lines):
+        rhs = line.partition(">>")[2]
+        assert value == oracle_levenshtein(target, rhs) / max(len(target), len(rhs))
 
 
 def test_nld_route_flag_selects_one_route(work, tmp_path):

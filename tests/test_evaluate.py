@@ -215,6 +215,59 @@ def test_levenshtein_symmetry_and_bounds(a, b):
     assert abs(len(a) - len(b)) <= d <= max(len(a), len(b))
 
 
+# The bit vectors are as wide as `a`: cross one, two and four 64-bit words.
+LONG_LENGTHS = (0, 1, 2, 31, 32, 33, 63, 64, 65, 127, 128, 129, 255, 256, 257, 300)
+
+
+def mutated(rng: random.Random, text: str, edits: int, alphabet: str) -> str:
+    """`text` after `edits` random insertions, deletions and substitutions."""
+    chars = list(text)
+    for _ in range(edits):
+        kind = rng.choice("ids") if chars else "i"
+        at = rng.randrange(len(chars) + (kind == "i"))
+        if kind == "i":
+            chars.insert(at, rng.choice(alphabet))
+        elif kind == "d":
+            del chars[at]
+        else:
+            chars[at] = rng.choice(alphabet)
+    return "".join(chars)
+
+
+@pytest.mark.parametrize("n", LONG_LENGTHS)
+@pytest.mark.parametrize("alphabet", ["CNO()=#123cn", "\u00e9\u6f22\U0001f600\u03a9-"])
+def test_levenshtein_long_inputs_match_oracle(n, alphabet):
+    rng = random.Random(n)
+    a = "".join(rng.choice(alphabet) for _ in range(n))
+    partners = [
+        mutated(rng, a, rng.randint(1, 12), alphabet),
+        "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 300))),
+        a[: n // 2],
+        a + a[: n // 3],
+    ]
+    for b in partners:
+        expected = oracle_levenshtein(a, b)
+        assert levenshtein(a, b) == expected, (len(a), len(b))
+        assert levenshtein(b, a) == expected, (len(b), len(a))
+
+
+@pytest.mark.parametrize("n", LONG_LENGTHS)
+def test_levenshtein_one_letter_alphabet(n):
+    for m in sorted({0, n // 2, max(n - 1, 0), n, n + 1, 2 * n + 3}):
+        assert levenshtein("C" * n, "C" * m) == oracle_levenshtein("C" * n, "C" * m) == abs(n - m)
+        assert levenshtein("C" * n, "N" * m) == oracle_levenshtein("C" * n, "N" * m)
+
+
+@pytest.mark.parametrize("steps", ["aligned", "canonical"])
+def test_levenshtein_matches_oracle_on_golden_route_lines(steps):
+    pairs = golden.ALIGNED_STEPS if steps == "aligned" else golden.CANONICAL_STEPS
+    target = pairs[0][0]
+    for _, precursors in pairs:
+        rhs = ".".join(precursors)
+        assert levenshtein(target, rhs) == oracle_levenshtein(target, rhs)
+        assert levenshtein(rhs, target) == oracle_levenshtein(rhs, target)
+
+
 # ---------------------------------------------------------------------------
 # nld_profile
 # ---------------------------------------------------------------------------

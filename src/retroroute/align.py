@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import MissingRootError
 from .routes import RouteNode, RouteTree, linearize_nodes
-from .smiles import canonical_ranks, corresponding_atom, write_rooted
+from .smiles import Molecule, RootedWriter, canonical_ranks, corresponding_atom
 
 
 @dataclass(frozen=True)
@@ -42,12 +42,28 @@ def default_root(molecule) -> int:
     return canonical_ranks(molecule).index(0)
 
 
-def align_route(tree: RouteTree, target_root: int) -> AlignedSequence:
+def align_route(
+    tree: RouteTree, target_root: int, *, writers: dict[Molecule, RootedWriter] | None = None
+) -> AlignedSequence:
     """Render every reaction of the tree from the viewpoint fixed by rooting
     the target at atom index `target_root`, main chain first over the
-    aligned precursor order."""
+    aligned precursor order.
+
+    Each molecule is written by its RootedWriter in `writers`, keyed by the
+    Molecule object and made on first use. By default the dict is this
+    call's own and is dropped when it returns; augment_roots passes one dict
+    to all its renderings of a tree, so each molecule is prepared once and
+    each (molecule, root) text written once."""
     root_map: dict[int, int] = {tree.root.node_id: target_root}
     steps: list[AlignedStep] = []
+    if writers is None:
+        writers = {}
+
+    def write(molecule: Molecule, root: int) -> tuple[str, list[int]]:
+        writer = writers.get(molecule)
+        if writer is None:
+            writer = writers[molecule] = RootedWriter(molecule)
+        return writer.write(root)
 
     def render(node: RouteNode) -> list[RouteNode]:
         """Append the node's step; return its children in aligned order."""
@@ -58,7 +74,7 @@ def align_route(tree: RouteTree, target_root: int) -> AlignedSequence:
         product_root = root_map[node.node_id]
         if node.molecule is not product:
             product_root = corresponding_atom(node.molecule, product_root, product)
-        product_text, atom_order = write_rooted(product, product_root)
+        product_text, atom_order = write(product, product_root)
         position_of = {atom: pos for pos, atom in enumerate(atom_order)}
 
         entries: list[tuple[float, int, str, int, RouteNode]] = []
@@ -77,7 +93,7 @@ def align_route(tree: RouteTree, target_root: int) -> AlignedSequence:
                 anchor = float("inf")
                 child_root = default_root(precursor)
             root_map[child.node_id] = child_root
-            text, _ = write_rooted(precursor, child_root)
+            text, _ = write(precursor, child_root)
             entries.append((anchor, i, text, child_root, child))
 
         entries.sort(key=lambda e: (e[0], e[1]))
@@ -97,13 +113,19 @@ def align_route(tree: RouteTree, target_root: int) -> AlignedSequence:
 
 def augment_roots(tree: RouteTree, n: int, seed: int) -> list[AlignedSequence]:
     """Render the route from n distinct random heavy-atom roots of the target
-    (fewer when the target is smaller). n=1 gives a single seeded choice."""
+    (fewer when the target is smaller). n=1 gives a single seeded choice.
+
+    The renderings share one RootedWriter per molecule of the tree, so each
+    molecule's tables are built once and a text that several roots lead to
+    (often a precursor's) is written once; the writers are dropped when the
+    call returns. The result equals align_route called on each root alone."""
     if n < 1:
         raise ValueError("n must be at least 1")
     heavy = tree.root.molecule.heavy_atom_indices()
     rng = random.Random(seed)
     roots = rng.sample(heavy, min(n, len(heavy)))
-    return [align_route(tree, root) for root in roots]
+    writers: dict[Molecule, RootedWriter] = {}
+    return [align_route(tree, root, writers=writers) for root in roots]
 
 
 def render_sequence(sequence: AlignedSequence) -> str:

@@ -16,6 +16,16 @@ lines, rows or commands is keyed once per process. It holds key strings
 only, never molecules; it grows by one entry per distinct component text the
 process reads and keys, and is never cleared. Hand-built Molecules neither
 read nor fill it. Each pool worker has its own copy.
+
+Bracket table: a second process-wide dict, from the body of a bracket atom
+(the text between [ and ]) to the frozen Atom it parses to, so each distinct
+body runs the bracket pattern once per process. Only bodies that parse are
+kept; it grows by one entry per distinct body and is never cleared.
+
+Rooted writing: a RootedWriter builds the tables for one molecule and one
+pair of include flags and keeps each root's text; write_rooted is a one-shot
+writer. Writer state lives only as long as the writer; nothing of it is kept
+on the Molecule or in the module.
 """
 
 from __future__ import annotations
@@ -205,7 +215,14 @@ _BRACKET_RE = re.compile(
 )
 
 
+# Bracket body (the text between [ and ]) -> its Atom; see the module docstring.
+_BRACKETS: dict[str, Atom] = {}
+
+
 def _parse_bracket(body: str, position: int) -> Atom:
+    atom = _BRACKETS.get(body)
+    if atom is not None:
+        return atom
     match = _BRACKET_RE.match(body)
     if not match:
         raise SmilesSyntaxError(f"bad bracket atom [{body}] at position {position}")
@@ -230,7 +247,7 @@ def _parse_bracket(body: str, position: int) -> Atom:
     map_number = int(map_text) if map_text else None
     if map_number == 0:
         map_number = None
-    return Atom(
+    atom = _BRACKETS[body] = Atom(
         element=element,
         aromatic=aromatic,
         charge=charge,
@@ -239,6 +256,7 @@ def _parse_bracket(body: str, position: int) -> Atom:
         map_number=map_number,
         chirality=match.group("chirality"),
     )
+    return atom
 
 
 def parse_smiles(text: str) -> list[Molecule]:
@@ -497,7 +515,8 @@ def canonical_ranks(m: Molecule) -> list[int]:
 
 def _atom_token(m: Molecule, i: int, include_maps: bool, include_stereo: bool) -> str:
     atom = m.atoms[i]
-    effective = m.effective_hydrogens(i)
+    implicit = m.implicit_hydrogens(i)
+    effective = implicit if atom.explicit_hydrogens is None else atom.explicit_hydrogens
     bare_allowed = (
         atom.element in ORGANIC_SUBSET
         and atom.charge == 0
@@ -505,7 +524,7 @@ def _atom_token(m: Molecule, i: int, include_maps: bool, include_stereo: bool) -
         and (atom.map_number is None or not include_maps)
         and (atom.chirality is None or not include_stereo)
         and (not atom.aromatic or atom.element in ("B", "C", "N", "O", "P", "S"))
-        and effective == m.implicit_hydrogens(i)
+        and effective == implicit
     )
     symbol = atom.element.lower() if atom.aromatic else atom.element
     if bare_allowed:
@@ -550,8 +569,112 @@ def _bond_token(m: Molecule, bond: Bond, include_stereo: bool) -> str:
     return ":"
 
 
-def _digit_token(number: int) -> str:
-    return str(number) if number <= 9 else f"%{number:02d}"
+class RootedWriter:
+    """Writes one molecule as SMILES from any root, for one pair of include
+    flags.
+
+    The tables are built once: each atom's token, and each atom's neighbours
+    in ascending canonical-rank order as (other, bond index, bond token). The
+    text and atom order written from each root are kept, so asking for the
+    same root again costs a lookup. Tables and texts live as long as the
+    writer; nothing is stored on the Molecule beyond the canonical ranks and
+    adjacency that any writing computes.
+    """
+
+    def __init__(self, m: Molecule, *, include_maps: bool = False, include_stereo: bool = True):
+        ranks = canonical_ranks(m)
+        self._tokens = [_atom_token(m, i, include_maps, include_stereo) for i in range(len(m.atoms))]
+        neighbors: list[list[tuple[int, int, str]]] = [[] for _ in m.atoms]
+        for k, bond in enumerate(m.bonds):
+            token = _bond_token(m, bond, include_stereo)
+            neighbors[bond.a].append((bond.b, k, token))
+            neighbors[bond.b].append((bond.a, k, token))
+        for row in neighbors:
+            row.sort(key=lambda entry: ranks[entry[0]])
+        self._neighbors = neighbors
+        self._n_bonds = len(m.bonds)
+        self._written: dict[int, tuple[str, tuple[int, ...]]] = {}
+
+    def write(self, root: int) -> tuple[str, list[int]]:
+        """The text rooted at atom `root` and its emission order, as
+        write_rooted returns them; the list is a fresh copy on every call."""
+        written = self._written.get(root)
+        if written is None:
+            written = self._written[root] = self._write(root)
+        return written[0], list(written[1])
+
+    def _write(self, root: int) -> tuple[str, tuple[int, ...]]:
+        n = len(self._tokens)
+        if not 0 <= root < n:
+            raise IndexError(f"root {root} out of range for {n} atoms")
+        neighbors = self._neighbors
+
+        # First traversal: spanning tree and ring (back) edges in discovery
+        # order. A back edge is met first from its later end, so it is kept
+        # as (earlier atom, later atom, bond token).
+        visited = [False] * n
+        position = [0] * n
+        atom_order = [root]
+        tree_children: list[list[tuple[str, int]]] = [[] for _ in range(n)]
+        back_edges: list[tuple[int, int, str]] = []
+        used = [False] * self._n_bonds
+        visited[root] = True
+        stack = [(root, 0)]
+        while stack:
+            current, cursor = stack[-1]
+            row = neighbors[current]
+            while cursor < len(row):
+                other, k, token = row[cursor]
+                cursor += 1
+                if used[k]:
+                    continue
+                used[k] = True
+                if not visited[other]:
+                    visited[other] = True
+                    position[other] = len(atom_order)
+                    atom_order.append(other)
+                    tree_children[current].append((token, other))
+                    stack[-1] = (current, cursor)
+                    stack.append((other, 0))
+                    break
+                back_edges.append((other, current, token))
+            else:
+                stack.pop()
+
+        # Number ring closures by the emission position of their first mention
+        # so digits appear in increasing order along the string; the later end
+        # writes the bond token before the digit.
+        back_edges.sort(key=lambda edge: (position[edge[0]], position[edge[1]]))
+        ring_text: dict[int, str] = {}
+        for digit, (early, late, token) in enumerate(back_edges, start=1):
+            digit_text = str(digit) if digit <= 9 else f"%{digit:02d}"
+            ring_text[early] = ring_text.get(early, "") + digit_text
+            ring_text[late] = ring_text.get(late, "") + token + digit_text
+
+        # Second traversal writes the text. The stack holds (text before the
+        # atom, atom) pairs and the ")" that closes each branch; a node's
+        # branches come first in order, each in parentheses, then its last
+        # child.
+        tokens = self._tokens
+        pieces: list[str] = []
+        stack: list[tuple[str, int] | str] = [("", root)]
+        while stack:
+            item = stack.pop()
+            if item == ")":
+                pieces.append(item)
+                continue
+            prefix, atom = item
+            pieces.append(prefix)
+            pieces.append(tokens[atom])
+            if atom in ring_text:
+                pieces.append(ring_text[atom])
+            children = tree_children[atom]
+            if children:
+                stack.append(children[-1])
+                for token, other in reversed(children[:-1]):
+                    stack.append(")")
+                    stack.append(("(" + token, other))
+        return "".join(pieces), tuple(atom_order)
 
 
 def write_rooted(
@@ -566,95 +689,10 @@ def write_rooted(
     Neighbors are visited in ascending canonical-rank order; ring-closure
     digits are assigned in discovery order starting at 1 and never reused.
     Returns the text and the emission order: atom_order[k] is the atom index
-    whose token was written k-th (so atom_order[0] == root).
+    whose token was written k-th (so atom_order[0] == root). A one-shot
+    RootedWriter: to write one molecule from several roots, keep a writer.
     """
-    n = len(m.atoms)
-    if not 0 <= root < n:
-        raise IndexError(f"root {root} out of range for {n} atoms")
-    ranks = canonical_ranks(m)
-    adjacency = m.adjacency
-    ordered_bonds = [
-        sorted(adjacency[i], key=lambda bond: ranks[bond.other(i)]) for i in range(n)
-    ]
-
-    # First traversal: spanning tree and ring (back) edges in discovery order.
-    visited = [False] * n
-    position = [0] * n
-    atom_order: list[int] = []
-    tree_children: list[list[Bond]] = [[] for _ in range(n)]
-    ring_digits: list[list[tuple[int, Bond]]] = [[] for _ in range(n)]
-    back_edges: list[Bond] = []
-    used = [False] * len(m.bonds)
-    bond_index = {id(bond): k for k, bond in enumerate(m.bonds)}
-
-    visited[root] = True
-    position[root] = 0
-    atom_order.append(root)
-    stack: list[tuple[int, int]] = [(root, 0)]
-    while stack:
-        current, cursor = stack[-1]
-        advanced = False
-        neighbors = ordered_bonds[current]
-        while cursor < len(neighbors):
-            bond = neighbors[cursor]
-            cursor += 1
-            k = bond_index[id(bond)]
-            if used[k]:
-                continue
-            other = bond.other(current)
-            if not visited[other]:
-                used[k] = True
-                visited[other] = True
-                position[other] = len(atom_order)
-                atom_order.append(other)
-                tree_children[current].append(bond)
-                stack[-1] = (current, cursor)
-                stack.append((other, 0))
-                advanced = True
-                break
-            used[k] = True
-            back_edges.append(bond)
-        if not advanced:
-            stack.pop()
-
-    # Number ring closures by the emission position of their first mention so
-    # digits appear in increasing order along the string.
-    back_edges.sort(
-        key=lambda bond: (
-            min(position[bond.a], position[bond.b]),
-            max(position[bond.a], position[bond.b]),
-        )
-    )
-    for digit, bond in enumerate(back_edges, start=1):
-        ring_digits[bond.a].append((digit, bond))
-        ring_digits[bond.b].append((digit, bond))
-
-    # Second traversal writes the text. The stack holds (text before the
-    # atom, atom) pairs and the ")" that closes each branch; a node's branches
-    # come first in order, each in parentheses, then its last child.
-    pieces: list[str] = []
-    stack: list[tuple[str, int] | str] = [("", root)]
-    while stack:
-        item = stack.pop()
-        if item == ")":
-            pieces.append(item)
-            continue
-        prefix, atom = item
-        pieces.append(prefix)
-        pieces.append(_atom_token(m, atom, include_maps, include_stereo))
-        for digit, bond in sorted(ring_digits[atom]):
-            late_end = bond.a if position[bond.a] > position[bond.b] else bond.b
-            if atom == late_end:
-                pieces.append(_bond_token(m, bond, include_stereo))
-            pieces.append(_digit_token(digit))
-        children = tree_children[atom]
-        if children:
-            bond = children[-1]
-            stack.append((_bond_token(m, bond, include_stereo), bond.other(atom)))
-            for bond in reversed(children[:-1]):
-                stack.append(")")
-                stack.append(("(" + _bond_token(m, bond, include_stereo), bond.other(atom)))
-    return "".join(pieces), atom_order
+    return RootedWriter(m, include_maps=include_maps, include_stereo=include_stereo).write(root)
 
 
 def canonical_key(m: Molecule) -> CanonicalKey:

@@ -297,3 +297,22 @@ def test_parse_sequence_skips_blank_lines():
 def test_parse_sequence_rejects_malformed(text):
     with pytest.raises(ValueError):
         parse_sequence(text)
+
+
+def test_augment_roots_equals_align_route_on_each_root():
+    trees = [to_tree(golden.build_record().route)]
+    rng = random.Random(61)
+    trees += [to_tree(rand_route_record(rng, index=i, convergence=0.3).route) for i in range(12)]
+    for seed, tree in enumerate(trees):
+        sequences = augment_roots(tree, 20, seed=seed)
+        assert sequences == [align_route(tree, s.target_root) for s in sequences]
+
+
+def test_align_route_reuses_the_writers_it_is_given():
+    tree = to_tree(golden.build_record().route)
+    writers = {}
+    first = align_route(tree, 3, writers=writers)
+    kept = dict(writers)
+    assert kept and all(writer is writers[m] for m, writer in kept.items())
+    assert align_route(tree, 3, writers=writers) == first == align_route(tree, 3)
+    assert writers == kept

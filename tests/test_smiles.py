@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import golden
 from generators import rand_molecule, rand_smiles
 from isomorphism import is_isomorphic
+from reference_writer import write_rooted as reference_write_rooted
 from retroroute import smiles
 from retroroute.smiles import (
     AROMATIC,
@@ -24,6 +25,7 @@ from retroroute.smiles import (
     Atom,
     Bond,
     Molecule,
+    RootedWriter,
     SmilesSyntaxError,
     canonical_key,
     canonical_ranks,
@@ -291,6 +293,116 @@ def test_write_rooted_thousand_atoms_keeps_the_recursion_limit():
     assert text == "C(" * 499 + "CO" + ")O" * 499
     assert sorted(order) == list(range(1000))
     assert sys.getrecursionlimit() == limit
+
+
+# ---------------------------------------------------------------------------
+# RootedWriter against the reference writer
+# ---------------------------------------------------------------------------
+
+FLAGS = [(maps, stereo) for maps in (False, True) for stereo in (False, True)]
+DECORATED = [
+    "N[C@@H](C)C(=O)[O:4]",
+    "F/C=C/F",
+    "F/C=C\\[13CH2:3][C@H](Br)Cl",
+    "C[N+](=O)[O-]",
+    "[NH4+]",
+    "[2H]C([2H])([2H])c1ccc[n-]1",
+    "[CH3:1][C@@]12CC[C@H:5](C1)C2",
+    "c1ccccc1-c1ccccc1",
+    "Cc1ccccc1:c1ccccc1",
+    "[Fe+2]",
+    "C%10CCCCC%10",
+]
+
+
+def decorate(m: Molecule, rng: random.Random) -> Molecule:
+    """m with random map numbers, chirality marks, charges, explicit
+    hydrogens and bond directions: every field a token depends on."""
+    atoms = tuple(
+        replace(
+            atom,
+            map_number=rng.choice((None, rng.randint(1, 99))),
+            chirality=rng.choice((None, None, "@", "@@")),
+            charge=rng.choice((0, 0, 0, 1, -1, 2)),
+            explicit_hydrogens=rng.choice((None, None, 0, 1, 2)),
+        )
+        for atom in m.atoms
+    )
+    bonds = tuple(
+        replace(bond, direction=rng.choice((None, "/", "\\"))) if bond.order == SINGLE else bond
+        for bond in m.bonds
+    )
+    return Molecule(atoms, bonds)
+
+
+def writer_corpus() -> list[Molecule]:
+    molecules = [m for text in golden.all_box_smiles() + DECORATED for m in parse_smiles(text)]
+    for reaction in golden.build_reactions():
+        molecules += [reaction.product, *reaction.precursors]
+    # K6 needs ten ring closures, so it writes %10.
+    k6_bonds = tuple(Bond(a, b, SINGLE) for a, b in combinations(range(6), 2))
+    molecules.append(Molecule(tuple(Atom("C") for _ in range(6)), k6_bonds))
+    rng = random.Random(2024)
+    for _ in range(150):
+        m = rand_molecule(rng, max_atoms=16)
+        molecules += [m, decorate(m, rng)]
+    return molecules
+
+
+def test_writer_matches_reference_writer_every_root_and_flag():
+    for m in writer_corpus():
+        for maps, stereo in FLAGS:
+            writer = RootedWriter(m, include_maps=maps, include_stereo=stereo)
+            for root in range(len(m.atoms)):
+                expected = reference_write_rooted(m, root, include_maps=maps, include_stereo=stereo)
+                assert writer.write(root) == expected
+                assert write_rooted(m, root, include_maps=maps, include_stereo=stereo) == expected
+                # A second request is answered from the writer's texts.
+                assert writer.write(root) == expected
+
+
+def test_mutating_a_returned_order_does_not_change_the_next_result():
+    m = one("CC(C)(C)OC(=O)N1CCC(c2ccc(N)cc2)CC1")
+    writer = RootedWriter(m)
+    text, order = writer.write(7)
+    expected = list(order)
+    order.reverse()
+    order.append(99)
+    again_text, again = writer.write(7)
+    assert (again_text, again) == (text, expected)
+    assert again is not order
+    _, one_shot = write_rooted(m, 7)
+    one_shot.clear()
+    assert write_rooted(m, 7)[1] == expected
+
+
+def test_writing_and_keying_attach_no_state_beyond_ranks_adjacency_and_key():
+    for text in golden.all_box_smiles() + DECORATED:
+        m = one(text)
+        m._key = None
+        before = dict(vars(m))
+        for maps, stereo in FLAGS:
+            write_rooted(m, 0, include_maps=maps, include_stereo=stereo)
+            RootedWriter(m, include_maps=maps, include_stereo=stereo).write(len(m.atoms) - 1)
+        canonical_key(m)
+        after = vars(m)
+        assert after.keys() == before.keys()
+        changed = {name for name in after if after[name] is not before[name]}
+        assert changed == {"_ranks", "_adjacency", "_key"}
+
+
+def test_bracket_table_keeps_only_successful_parses():
+    smiles._BRACKETS.clear()
+    first = one("[CH3:1][NH+:2]")
+    second = one("[NH+:2][CH3:1]")
+    assert first.atoms[0] is second.atoms[1] and first.atoms[1] is second.atoms[0]
+    assert set(smiles._BRACKETS) == {"CH3:1", "NH+:2"}
+    for bad in ("[Xx]", "[C@H@]", "[q]", "[se+]C[Zz]"):
+        with pytest.raises(SmilesSyntaxError):
+            parse_smiles(bad)
+    assert set(smiles._BRACKETS) == {"CH3:1", "NH+:2", "se+"}
+    with pytest.raises(SmilesSyntaxError, match="position 4"):
+        parse_smiles("CCC.[Xx]")
 
 
 # ---------------------------------------------------------------------------

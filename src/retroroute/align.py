@@ -135,21 +135,3 @@ def render_sequence(sequence: AlignedSequence) -> str:
         for step in sequence.steps
     )
 
-
-def parse_sequence(text: str) -> list[tuple[str, list[str]]]:
-    """Inverse of render_sequence at the text level: (product, precursors)
-    per non-empty line. Raises ValueError on lines without '>>' or with
-    empty components."""
-    out: list[tuple[str, list[str]]] = []
-    for line_number, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        if ">>" not in line:
-            raise ValueError(f"line {line_number}: missing '>>'")
-        product, _, rhs = line.partition(">>")
-        parts = rhs.split(".")
-        if not product or not rhs or any(not part for part in parts):
-            raise ValueError(f"line {line_number}: empty component")
-        out.append((product, parts))
-    return out

@@ -31,13 +31,19 @@ from .routes import (
     ingest_dataset,
     linearize_nodes,
     load_stock,
+    read_count,
     read_dataset,
-    read_text,
+    read_field,
+    read_json,
+    read_keys,
+    read_references,
+    read_rows,
+    read_target,
     record_from_raw,
     to_tree,
     validate_route,
 )
-from .smiles import CanonicalKey, Molecule, canonical_key, parse_smiles, smiles_keys
+from .smiles import Molecule, canonical_key, parse_smiles
 
 ROUTE_SEED_STRIDE = 1_000_003
 
@@ -62,8 +68,8 @@ class PipelineConfig:
                 raise ConfigError(f"configured {label} path does not exist: {path}")
 
 
-# Accepted JSON types of each config key and each reward key, the first
-# naming the expectation; a bool is never taken for a number.
+# Accepted JSON types of each config key and each reward key, as read_field
+# takes them.
 _NUMBER = (float, int)
 _CONFIG_TYPES = {
     "dataset": (str, type(None)),
@@ -85,39 +91,30 @@ _REWARD_TYPES = {
     "invalid_cap": (int,),
     "depth_cap": (int,),
 }
-_TYPE_NAMES = {
-    str: "a string", dict: "an object", int: "an integer", float: "a number",
-    list: "an array", bool: "a boolean",
-}
 
 
 def _check_types(path: str | Path, data: dict, types: dict, what: str) -> None:
     unknown = set(data) - set(types)
     if unknown:
-        raise ConfigError(f"{path}: unknown {what} keys {sorted(unknown)}")
-    for name, value in data.items():
-        kinds = types[name]
-        if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
-            raise ConfigError(f"{path}: {name} must be {_TYPE_NAMES[kinds[0]]}")
+        raise SchemaError(f"{path}: unknown {what} keys {sorted(unknown)}")
+    for name in data:
+        read_field(data, name, str(path), *types[name])
 
 
 def load_config(path: str | Path | None) -> PipelineConfig:
+    """The config file's settings, each of its JSON type. The invariants are
+    checked by PipelineConfig.validate once flags are applied."""
     if path is None:
         return PipelineConfig()
-    try:
-        data = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
+    data = read_json(path, dict)
     _check_types(path, data, _CONFIG_TYPES, "config")
     reward_data = data.get("reward", {})
     _check_types(path, reward_data, _REWARD_TYPES, "reward")
     reward = RewardConfig(**reward_data, strict_format=data.get("strict_delimiters", False))
     delimiters = data.get("delimiters", list(DEFAULT_DELIMITERS))
     if len(delimiters) != 2 or not all(isinstance(d, str) and d for d in delimiters):
-        raise ConfigError(f"{path}: delimiters must be two non-empty strings")
-    config = PipelineConfig(
+        raise SchemaError(f"{path}: delimiters must be two non-empty strings")
+    return PipelineConfig(
         dataset=data.get("dataset"),
         stock=data.get("stock"),
         reward=reward,
@@ -127,8 +124,6 @@ def load_config(path: str | Path | None) -> PipelineConfig:
         delimiters=(delimiters[0], delimiters[1]),
         workers=data.get("workers", 1),
     )
-    config.validate()
-    return config
 
 
 def _apply_overrides(config: PipelineConfig, args: argparse.Namespace) -> PipelineConfig:
@@ -158,22 +153,6 @@ def _write_lines(out: str | None, lines: list[str]) -> None:
         sys.stdout.write(text)
     else:
         Path(out).write_text(text, encoding="utf-8")
-
-
-def _read_jsonl(path: str) -> list[dict]:
-    rows: list[dict] = []
-    for line_number, line in enumerate(read_text(path).splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            row = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path} line {line_number}: not valid JSON ({exc})") from exc
-        if not isinstance(row, dict):
-            raise SchemaError(f"{path} line {line_number}: expected an object")
-        rows.append(row)
-    return rows
 
 
 def _dumps(obj) -> str:
@@ -252,53 +231,6 @@ def cmd_align(args: argparse.Namespace, config: PipelineConfig) -> int:
 
 
 # ---------------------------------------------------------------------------
-# row fields of score, vote and eval
-# ---------------------------------------------------------------------------
-
-
-_JSON_TYPES = {str: "string", list: "array"}
-
-
-def _field(row, name: str, where: str, kind: type = object):
-    """row[name], which must be present and of the JSON type `kind`."""
-    if not isinstance(row, dict):
-        raise SchemaError(f"{where}: expected an object")
-    if name not in row:
-        raise SchemaError(f"{where}: missing {name!r}")
-    if not isinstance(row[name], kind):
-        raise SchemaError(f"{where}: {name} must be a JSON {_JSON_TYPES[kind]}")
-    return row[name]
-
-
-def _depth(row, name: str, where: str) -> int:
-    value = _field(row, name, where)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise SchemaError(f"{where}: {name} must be a non-negative integer")
-    return value
-
-
-def _keys(text: str, where: str) -> list[CanonicalKey]:
-    try:
-        return smiles_keys(text)
-    except SmilesSyntaxError as exc:
-        raise SchemaError(f"{where}: {exc}") from exc
-
-
-def _target_key(row, where: str) -> CanonicalKey:
-    keys = _keys(_field(row, "target", where, str), f"{where} target")
-    if len(keys) != 1:
-        raise SchemaError(f"{where}: target must be a single molecule")
-    return keys[0]
-
-
-def _key_set(texts, where: str) -> frozenset[CanonicalKey]:
-    """Keys of every component of a list of SMILES texts."""
-    if not isinstance(texts, list) or not all(isinstance(text, str) for text in texts):
-        raise SchemaError(f"{where}: expected a list of SMILES strings")
-    return frozenset(key for text in texts for key in _keys(text, where))
-
-
-# ---------------------------------------------------------------------------
 # score
 # ---------------------------------------------------------------------------
 
@@ -311,26 +243,18 @@ def _score_worker(task: tuple) -> str:
 
 def cmd_score(args: argparse.Namespace, config: PipelineConfig) -> int:
     dataset_path = _resolve_dataset(args, config)
-    config.reward.validate()
-    rows = _read_jsonl(args.plans)
+    rows = read_rows(args.plans)
     by_key = {record.route.target_key: record for record in ingest_dataset(dataset_path)}
     targets: dict[str, Molecule] = {}  # each distinct target text parsed once
     tasks = []
     for index, row in enumerate(rows):
         where = f"plan {index}"
-        plan_text = _field(row, "plan_text", where, str)
-        target_key = _target_key(row, where)
-        record = by_key.get(target_key)
+        plan_text = read_field(row, "plan_text", where, str)
+        record = by_key.get(read_target(row, where))
         if record is None and ("references" not in row or "ref_depth" not in row):
             raise SchemaError(f"{where}: target not in dataset and no inline references")
-        if "references" in row:
-            groups = _field(row, "references", where, list)
-            if not groups:
-                raise SchemaError(f"{where}: references must be a non-empty list of lists")
-            references = [_key_set(g, f"{where} reference {j}") for j, g in enumerate(groups)]
-        else:
-            references = record.references
-        ref_depth = _depth(row, "ref_depth", where) if "ref_depth" in row else record.ref_depth
+        references = read_references(row, where) if "references" in row else record.references
+        ref_depth = read_count(row, "ref_depth", where) if "ref_depth" in row else record.ref_depth
         if row["target"] not in targets:
             targets[row["target"]] = parse_smiles(row["target"])[0]
         tasks.append(
@@ -352,15 +276,15 @@ def cmd_score(args: argparse.Namespace, config: PipelineConfig) -> int:
 
 def _slate_from_row(row: dict, index: int) -> tuple[str, CandidateSlate]:
     where = f"slate {index}"
-    target_key = _target_key(row, where)
+    target_key = read_target(row, where)
     entries = []
-    for j, entry in enumerate(_field(row, "entries", where, list)):
+    for j, entry in enumerate(read_field(row, "entries", where, list)):
         at = f"{where} entry {j}"
         entries.append(
             SlateEntry(
-                plan_id=str(_field(entry, "plan_id", at)),
-                precursors=_key_set(_field(entry, "precursors", at), at),
-                depth=_depth(entry, "depth", at),
+                plan_id=str(read_field(entry, "plan_id", at)),
+                precursors=read_keys(read_field(entry, "precursors", at), at),
+                depth=read_count(entry, "depth", at),
                 notation_id=str(entry.get("notation_id", "")),
             )
         )
@@ -370,7 +294,7 @@ def _slate_from_row(row: dict, index: int) -> tuple[str, CandidateSlate]:
 
 
 def cmd_vote(args: argparse.Namespace, config: PipelineConfig) -> int:
-    rows = _read_jsonl(args.slates)
+    rows = read_rows(args.slates)
     out_lines = []
     for index, row in enumerate(rows):
         target_text, slate = _slate_from_row(row, index)
@@ -405,22 +329,22 @@ def cmd_vote(args: argparse.Namespace, config: PipelineConfig) -> int:
 
 def cmd_eval(args: argparse.Namespace, config: PipelineConfig) -> int:
     dataset_path = _resolve_dataset(args, config)
-    rows = _read_jsonl(args.candidates)
+    rows = read_rows(args.candidates)
     by_key = {record.route.target_key: record for record in ingest_dataset(dataset_path)}
     records: list[EvalRecord] = []
     for index, row in enumerate(rows):
         where = f"candidates line {index}"
-        key = _target_key(row, where)
+        key = read_target(row, where)
         if key not in by_key:
             raise SchemaError(f"{where}: target not present in the dataset")
         record = by_key[key]
         candidates = []
-        for j, entry in enumerate(_field(row, "candidates", where, list)):
+        for j, entry in enumerate(read_field(row, "candidates", where, list)):
             at = f"{where} candidate {j}"
             candidates.append(
                 EvalCandidate(
-                    precursors=_key_set(_field(entry, "precursors", at), at),
-                    depth=_depth(entry, "depth", at),
+                    precursors=read_keys(read_field(entry, "precursors", at), at),
+                    depth=read_count(entry, "depth", at),
                     plan_id=str(entry.get("plan_id", "")),
                 )
             )

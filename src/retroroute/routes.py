@@ -1,5 +1,5 @@
 """Retrosynthetic routes as DAGs: validation, tree decoupling, linearization,
-depth, and dataset/stock persistence.
+depth, dataset/stock persistence, and the readers that check every input.
 
 A route is a set of reactions over molecules identified by canonical key.
 Edges run precursor -> product; the target is the unique sink. Convergent
@@ -141,6 +141,19 @@ class StockSet:
     source_path: str
 
 
+# ---------------------------------------------------------------------------
+# Input files and fields: the readers through which datasets, stock files,
+# the config and command rows are checked. Each failure is a SchemaError
+# that names where it is.
+# ---------------------------------------------------------------------------
+
+
+_TYPE_NAMES = {
+    str: "a string", list: "an array", dict: "an object", int: "an integer",
+    float: "a number", bool: "a boolean",
+}
+
+
 def read_text(path: str | Path) -> str:
     """The text of an input file, which must be UTF-8; otherwise SchemaError
     naming the file."""
@@ -150,17 +163,97 @@ def read_text(path: str | Path) -> str:
         raise SchemaError(f"{path}: not UTF-8 text ({exc})") from exc
 
 
+def parse_json(text: str, where: str, kind: type):
+    """The JSON value of text, which must be of type `kind`."""
+    try:
+        value = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{where}: not valid JSON ({exc})") from exc
+    if type(value) is not kind:
+        raise SchemaError(f"{where}: expected {_TYPE_NAMES[kind]}")
+    return value
+
+
+def read_json(path: str | Path, kind: type):
+    """The JSON value of a whole file, which must be of type `kind`."""
+    return parse_json(read_text(path), str(path), kind)
+
+
+def read_rows(path: str | Path) -> list[dict]:
+    """The objects of a JSON-lines file, one per non-blank line."""
+    return [
+        parse_json(line, f"{path} line {line_number}", dict)
+        for line_number, line in enumerate(read_text(path).splitlines(), start=1)
+        if line.strip()
+    ]
+
+
+def read_field(row, name: str, where: str, *kinds: type):
+    """row[name], which must be present and, when kinds are given, of one of
+    those JSON types; the first names the expectation. Types match exactly,
+    so a bool is never taken for a number."""
+    if type(row) is not dict:
+        raise SchemaError(f"{where}: expected an object")
+    if name not in row:
+        raise SchemaError(f"{where}: missing {name!r}")
+    value = row[name]
+    if kinds and type(value) not in kinds:
+        raise SchemaError(f"{where}: {name} must be {_TYPE_NAMES[kinds[0]]}")
+    return value
+
+
+def read_count(row, name: str, where: str) -> int:
+    """row[name], which must be a non-negative integer."""
+    value = read_field(row, name, where)
+    if type(value) is not int or value < 0:
+        raise SchemaError(f"{where}: {name} must be a non-negative integer")
+    return value
+
+
+def _keys(text: str, where: str) -> list[CanonicalKey]:
+    try:
+        return smiles_keys(text)
+    except SmilesSyntaxError as exc:
+        raise SchemaError(f"{where}: {exc}") from exc
+
+
+def read_keys(texts, where: str) -> frozenset[CanonicalKey]:
+    """Keys of every '.'-component of a list of SMILES texts."""
+    if type(texts) is not list or any(type(text) is not str for text in texts):
+        raise SchemaError(f"{where}: expected a list of SMILES strings")
+    return frozenset(key for text in texts for key in _keys(text, where))
+
+
+def read_target(row, where: str) -> CanonicalKey:
+    """Key of row["target"], which must be the SMILES of one molecule."""
+    keys = _keys(read_field(row, "target", where, str), f"{where} target")
+    if len(keys) != 1:
+        raise SchemaError(f"{where}: target must be a single molecule")
+    return keys[0]
+
+
+def read_references(row, where: str) -> tuple[frozenset[CanonicalKey], ...]:
+    """row["references"]: a non-empty array of reference groups, each a
+    non-empty list of SMILES texts read as by read_keys."""
+    groups = read_field(row, "references", where, list)
+    if not groups:
+        raise SchemaError(f"{where}: references must be a non-empty list of lists")
+    references = []
+    for j, group in enumerate(groups):
+        keys = read_keys(group, f"{where} reference {j}")
+        if not keys:
+            raise SchemaError(f"{where} reference {j}: expected a non-empty list")
+        references.append(keys)
+    return tuple(references)
+
+
 def load_stock(path: str | Path) -> StockSet:
     """Read a newline-delimited SMILES file into canonical keys."""
     keys: set[CanonicalKey] = set()
     for line_number, line in enumerate(read_text(path).splitlines(), start=1):
         line = line.strip()
-        if not line:
-            continue
-        try:
-            keys.update(smiles_keys(line))
-        except SmilesSyntaxError as exc:
-            raise SchemaError(f"stock line {line_number}: {exc}") from exc
+        if line:
+            keys.update(_keys(line, f"stock line {line_number}"))
     if not keys:
         raise SchemaError(f"stock file {path} contains no molecules")
     return StockSet(frozenset(keys), str(path))
@@ -386,52 +479,27 @@ def _parse_single(text, where: str) -> Molecule:
 
 
 def record_from_raw(raw: dict, index: int) -> RouteRecord:
-    """One dataset entry, checked and parsed. Raises SchemaError /
-    SmilesSyntaxError naming the record."""
+    """One dataset entry, checked and parsed. Raises SmilesSyntaxError for a
+    bad target or reaction text and SchemaError for any other fault, a bad
+    reference text included; both name the record."""
     where = f"record {index}"
-    if not isinstance(raw, dict):
-        raise SchemaError(f"{where}: expected an object")
-    for field_name in ("target", "reactions", "references", "ref_depth"):
-        if field_name not in raw:
-            raise SchemaError(f"{where}: missing {field_name!r}")
-    if not isinstance(raw["target"], str):
-        raise SchemaError(f"{where}: target must be a string")
-    if not isinstance(raw["reactions"], list):
-        raise SchemaError(f"{where}: reactions must be a list")
-    if not isinstance(raw["references"], list) or not raw["references"]:
-        raise SchemaError(f"{where}: references must be a non-empty list of lists")
-    ref_depth = raw["ref_depth"]
-    if isinstance(ref_depth, bool) or not isinstance(ref_depth, int) or ref_depth < 0:
-        raise SchemaError(f"{where}: ref_depth must be a non-negative integer")
-
+    target_text = read_field(raw, "target", where, str)
+    entries = read_field(raw, "reactions", where, list)
+    references = read_references(raw, where)
+    ref_depth = read_count(raw, "ref_depth", where)
     try:
-        target = _parse_single(raw["target"], f"{where} target")
+        target = _parse_single(target_text, f"{where} target")
         reactions: list[Reaction] = []
-        for j, entry in enumerate(raw["reactions"]):
-            if not isinstance(entry, dict) or "product" not in entry or "precursors" not in entry:
-                raise SchemaError(
-                    f"{where} reaction {j}: expected object with product and precursors"
-                )
-            product = _parse_single(entry["product"], f"{where} reaction {j} product")
-            if not isinstance(entry["precursors"], list):
-                raise SchemaError(f"{where} reaction {j}: precursors must be a list")
-            if not entry["precursors"]:
-                raise SchemaError(f"{where} reaction {j}: empty precursor list")
+        for j, entry in enumerate(entries):
+            at = f"{where} reaction {j}"
+            product = _parse_single(read_field(entry, "product", at), f"{at} product")
+            texts = read_field(entry, "precursors", at, list)
+            if not texts:
+                raise SchemaError(f"{at}: empty precursor list")
             precursors = tuple(
-                _parse_single(text, f"{where} reaction {j} precursor {k}")
-                for k, text in enumerate(entry["precursors"])
+                _parse_single(text, f"{at} precursor {k}") for k, text in enumerate(texts)
             )
             reactions.append(Reaction.from_molecules(product, precursors))
-        references = []
-        for j, group in enumerate(raw["references"]):
-            if not isinstance(group, list) or not group:
-                raise SchemaError(f"{where} reference {j}: expected a non-empty list")
-            references.append(
-                frozenset(
-                    canonical_key(_parse_single(text, f"{where} reference {j}"))
-                    for text in group
-                )
-            )
     except SmilesSyntaxError as exc:
         raise SmilesSyntaxError(f"{where}: {exc}") from exc
     except ValueError as exc:
@@ -440,18 +508,12 @@ def record_from_raw(raw: dict, index: int) -> RouteRecord:
         raise SchemaError(f"{where}: {exc}") from exc
 
     route = Route.build(target, tuple(reactions))
-    return RouteRecord(route, tuple(references), ref_depth, index, raw)
+    return RouteRecord(route, references, ref_depth, index, raw)
 
 
 def read_dataset(path: str | Path) -> list:
     """The raw entries of a dataset file: a JSON array, otherwise SchemaError."""
-    try:
-        payload = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(payload, list):
-        raise SchemaError(f"{path}: top level must be a JSON array")
-    return payload
+    return read_json(path, list)
 
 
 def ingest_dataset(path: str | Path) -> list[RouteRecord]:

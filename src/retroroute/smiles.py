@@ -469,16 +469,17 @@ def _refine(m: Molecule, colors: list[int]) -> list[int]:
         colors, n_colors = refined, len(set(refined))
 
 
-def canonical_ranks(m: Molecule) -> list[int]:
+def canonical_ranks(m: Molecule) -> tuple[int, ...]:
     """Deterministic atom ranks, 0..n-1, stable across equivalent input orderings.
 
     Iterative invariant refinement seeded by (element, charge, isotope,
     aromatic flag, degree, hydrogen count); remaining ties are broken by
     promoting the smallest input index and re-refining. Map numbers and
-    stereo marks play no part.
+    stereo marks play no part. The tuple is computed once per molecule and
+    the same object is returned on every call.
     """
     if m._ranks is not None:
-        return list(m._ranks)
+        return m._ranks
     if not m.atoms:
         raise ValueError("cannot rank an empty molecule")
     seeds = [
@@ -505,7 +506,7 @@ def canonical_ranks(m: Molecule) -> list[int]:
         )
         colors = _refine(m, colors)
     m._ranks = tuple(colors)
-    return list(colors)
+    return m._ranks
 
 
 # ---------------------------------------------------------------------------

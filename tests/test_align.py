@@ -15,7 +15,6 @@ from retroroute.align import (
     align_route,
     augment_roots,
     default_root,
-    parse_sequence,
     render_sequence,
 )
 from retroroute.errors import MissingRootError
@@ -279,24 +278,9 @@ def test_render_and_parse_round_trip():
     lines = text.splitlines()
     assert len(lines) == 9
     assert all(">>" in line for line in lines)
-    parsed = parse_sequence(text)
-    assert [p for p, _ in parsed] == [s.product_text for s in seq.steps]
-    assert [tuple(ps) for _, ps in parsed] == [
-        tuple(s.precursor_texts) for s in seq.steps
+    assert lines == [
+        f"{s.product_text}>>{'.'.join(s.precursor_texts)}" for s in seq.steps
     ]
-
-
-def test_parse_sequence_skips_blank_lines():
-    assert parse_sequence("\nCCO>>CC=O\n\n") == [("CCO", ["CC=O"])]
-
-
-@pytest.mark.parametrize(
-    "text",
-    ["CCO CC=O", "CCO>>", ">>CC=O", "CCO>>CC=O..O"],
-)
-def test_parse_sequence_rejects_malformed(text):
-    with pytest.raises(ValueError):
-        parse_sequence(text)
 
 
 def test_augment_roots_equals_align_route_on_each_root():

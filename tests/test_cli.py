@@ -350,7 +350,7 @@ def test_score_plan_text_must_be_a_string(work, tmp_path, capsys):
     plans = write_jsonl(tmp_path / "plans.jsonl", [row])
     assert main(["score", plans, work.dataset, "-o", str(tmp_path / "s.jsonl")]) == 2
     err = capsys.readouterr().err
-    assert err == "error: plan 0: plan_text must be a JSON string\n"
+    assert err == "error: plan 0: plan_text must be a string\n"
 
 
 def test_score_parses_each_target_text_once(work, tmp_path, capsys, monkeypatch):
@@ -383,10 +383,10 @@ _SCORE = {"target": "CCO", "plan_text": WRAP + "CCO>>CC=O.O", "references": [["C
     "command, row, needle",
     [
         ("eval", {"target": "@", "candidates": [{"depth": 1}]}, "candidate 0: missing 'precursors'"),
-        ("eval", {"target": "@", "candidates": {"precursors": ["O"], "depth": 1}}, "candidates must be a JSON array"),
+        ("eval", {"target": "@", "candidates": {"precursors": ["O"], "depth": 1}}, "candidates must be an array"),
         ("eval", {"target": "@", "candidates": [{"precursors": "O", "depth": 1}]}, "expected a list of SMILES strings"),
         ("vote", {"target": "CCO", "entries": [dict(_ENTRY, precursors="CC=O")]}, "expected a list of SMILES strings"),
-        ("vote", {"target": "CCO", "entries": "abc"}, "entries must be a JSON array"),
+        ("vote", {"target": "CCO", "entries": "abc"}, "entries must be an array"),
         ("vote", {"target": "CCO", "entries": [dict(_ENTRY, depth="deep")]}, "depth must be a non-negative integer"),
         ("vote", {"target": "CCO", "entries": [dict(_ENTRY, depth=True)]}, "depth must be a non-negative integer"),
         ("eval", {"target": "@", "candidates": [{"precursors": ["O"], "depth": -1}]}, "depth must be a non-negative integer"),
@@ -394,8 +394,10 @@ _SCORE = {"target": "CCO", "plan_text": WRAP + "CCO>>CC=O.O", "references": [["C
         ("score", dict(_SCORE, ref_depth=-2), "ref_depth must be a non-negative integer"),
         ("score", dict(_SCORE, ref_depth=1.5), "ref_depth must be a non-negative integer"),
         ("score", dict(_SCORE, references=[["O"], "CC=O"]), "reference 1: expected a list of SMILES strings"),
-        ("score", dict(_SCORE, target=["CCO"]), "target must be a JSON string"),
+        ("score", dict(_SCORE, target=["CCO"]), "target must be a string"),
         ("score", dict(_SCORE, references=[["CC=O", "C("]]), "plan 0 reference 0: unclosed branch"),
+        ("score", dict(_SCORE, references=[[]]), "plan 0 reference 0: expected a non-empty list"),
+        ("score", dict(_SCORE, references="CC=O"), "references must be an array"),
         ("vote", {"target": "C1CC", "entries": [_ENTRY]}, "slate 0 target: unclosed ring closure"),
     ],
     ids=[
@@ -413,6 +415,8 @@ _SCORE = {"target": "CCO", "plan_text": WRAP + "CCO>>CC=O.O", "references": [["C
         "score-reference-group-not-a-list",
         "score-target-not-a-string",
         "score-bad-reference-smiles",
+        "score-empty-reference-group",
+        "score-references-not-a-list",
         "vote-bad-target-smiles",
     ],
 )

@@ -423,6 +423,14 @@ def test_ingest_minimal_record(tmp_path):
     assert len(record.route.reactions) == 1
 
 
+def test_reference_text_counts_as_its_components(tmp_path):
+    path = tmp_path / "data.json"
+    raws = [make_raw(references=[["CC=O.O"]]), make_raw(references=[["O", "CC=O"]])]
+    path.write_text(json.dumps(raws), encoding="utf-8")
+    dotted, listed = ingest_dataset(path)
+    assert dotted.references == listed.references == (frozenset({key("CC=O"), key("O")}),)
+
+
 def test_ingest_write_fixpoint(tmp_path):
     rng = random.Random(17)
     raws = [rand_route_record(rng, index=i).raw for i in range(6)]
@@ -441,7 +449,7 @@ def test_ingest_write_fixpoint(tmp_path):
     [
         (lambda raw: raw.pop("target"), "missing 'target'"),
         (lambda raw: raw.update(target=7), "target must be a string"),
-        (lambda raw: raw.update(reactions={}), "reactions must be a list"),
+        (lambda raw: raw.update(reactions={}), "reactions must be an array"),
         (lambda raw: raw.update(references=[]), "references"),
         (lambda raw: raw.update(references=[[]]), "reference 0"),
         (lambda raw: raw.update(ref_depth=-1), "ref_depth"),
@@ -454,9 +462,10 @@ def test_ingest_write_fixpoint(tmp_path):
         (lambda raw: raw.update(target="C.C"), "single-component"),
         (lambda raw: raw["reactions"][0].update(product=42), "reaction 0 product"),
         (lambda raw: raw["reactions"][0].update(precursors=[42]), "reaction 0 precursor 0"),
-        (lambda raw: raw["reactions"][0].update(precursors="CCO"), "precursors must be a list"),
-        (lambda raw: raw.update(references=[["CC=O", 42]]), "reference 0: expected a SMILES"),
+        (lambda raw: raw["reactions"][0].update(precursors="CCO"), "precursors must be an array"),
+        (lambda raw: raw.update(references=[["CC=O", 42]]), "reference 0: expected a list of SMILES strings"),
         (lambda raw: raw.update(ref_depth=True), "ref_depth must be a non-negative integer"),
+        (lambda raw: raw.update(references=[["CC=O", "C("]]), "reference 0: unclosed branch"),
     ],
 )
 def test_ingest_schema_errors_name_the_record(tmp_path, mutate, needle):

@@ -498,6 +498,13 @@ def test_ranks_stable_across_input_order():
     assert canonical_ranks(a)[2] == canonical_ranks(b)[0]
 
 
+def test_ranks_are_one_stored_tuple():
+    m = one("CC(N)=O")
+    first = canonical_ranks(m)
+    assert isinstance(first, tuple)
+    assert canonical_ranks(m) is first
+
+
 def test_ranks_benzene_ties_break_deterministically():
     a = canonical_ranks(one("c1ccccc1"))
     b = canonical_ranks(one("c1ccccc1"))

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .align import align_route, augment_roots, default_root, render_sequence
 from .consensus import CandidateSlate, SlateEntry, vote
-from .errors import ConfigError, SchemaError, SmilesSyntaxError
+from .errors import ConfigError, RouteError, SchemaError, SmilesSyntaxError
 from .evaluate import (
     EvalCandidate,
     EvalRecord,
@@ -28,6 +28,7 @@ from .evaluate import (
 from .reward import DEFAULT_DELIMITERS, RewardConfig, parse_plan, score_plan
 from .routes import (
     RouteRecord,
+    RouteTree,
     ingest_dataset,
     linearize_nodes,
     load_stock,
@@ -199,10 +200,18 @@ def cmd_ingest(args: argparse.Namespace, config: PipelineConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _tree(record: RouteRecord) -> RouteTree:
+    """The record's route as a tree; a route with a cycle or a molecule made
+    twice is a validation failure that names the record."""
+    try:
+        return to_tree(record.route)
+    except RouteError as exc:
+        raise RouteError(f"record {record.index}: {exc}") from exc
+
+
 def _align_worker(task: tuple[int, dict, int, int]) -> list[str]:
     index, raw, fold, base_seed = task
-    record = record_from_raw(raw, index)
-    tree = to_tree(record.route)
+    tree = _tree(record_from_raw(raw, index))
     sequences = augment_roots(tree, fold, base_seed + ROUTE_SEED_STRIDE * index)
     lines = []
     for sequence in sequences:
@@ -247,8 +256,7 @@ def cmd_score(args: argparse.Namespace, config: PipelineConfig) -> int:
     by_key = {record.route.target_key: record for record in ingest_dataset(dataset_path)}
     targets: dict[str, Molecule] = {}  # each distinct target text parsed once
     tasks = []
-    for index, row in enumerate(rows):
-        where = f"plan {index}"
+    for index, (where, row) in enumerate(rows):
         plan_text = read_field(row, "plan_text", where, str)
         record = by_key.get(read_target(row, where))
         if record is None and ("references" not in row or "ref_depth" not in row):
@@ -274,8 +282,7 @@ def cmd_score(args: argparse.Namespace, config: PipelineConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _slate_from_row(row: dict, index: int) -> tuple[str, CandidateSlate]:
-    where = f"slate {index}"
+def _slate_from_row(row: dict, where: str) -> tuple[str, CandidateSlate]:
     target_key = read_target(row, where)
     entries = []
     for j, entry in enumerate(read_field(row, "entries", where, list)):
@@ -296,8 +303,8 @@ def _slate_from_row(row: dict, index: int) -> tuple[str, CandidateSlate]:
 def cmd_vote(args: argparse.Namespace, config: PipelineConfig) -> int:
     rows = read_rows(args.slates)
     out_lines = []
-    for index, row in enumerate(rows):
-        target_text, slate = _slate_from_row(row, index)
+    for where, row in rows:
+        target_text, slate = _slate_from_row(row, where)
         ranked = vote(slate)
         out_lines.append(
             _dumps(
@@ -332,8 +339,7 @@ def cmd_eval(args: argparse.Namespace, config: PipelineConfig) -> int:
     rows = read_rows(args.candidates)
     by_key = {record.route.target_key: record for record in ingest_dataset(dataset_path)}
     records: list[EvalRecord] = []
-    for index, row in enumerate(rows):
-        where = f"candidates line {index}"
+    for where, row in rows:
         key = read_target(row, where)
         if key not in by_key:
             raise SchemaError(f"{where}: target not present in the dataset")
@@ -398,10 +404,10 @@ def _format_report(report: EvalReport) -> str:
 
 
 def _route_lines(record: RouteRecord, mode: str) -> list[str]:
-    tree = to_tree(record.route)
+    tree = _tree(record)
     if mode == "aligned":
         sequence = align_route(tree, default_root(tree.root.molecule))
-        return render_sequence(sequence).split("\n")
+        return render_sequence(sequence).split("\n") if sequence.steps else []
     lines = []
     for node in linearize_nodes(tree):
         product = canonical_key(node.reaction.product).key
@@ -491,6 +497,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, SchemaError, SmilesSyntaxError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RouteError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -11,7 +11,12 @@ class SchemaError(ValueError):
     """A data file does not match the expected schema."""
 
 
-class CycleError(ValueError):
+class RouteError(ValueError):
+    """A route cannot be decoupled into a tree: a molecule lies on a cycle or
+    has more than one producing reaction."""
+
+
+class CycleError(RouteError):
     """A route's molecule graph contains a cycle."""
 
 

@@ -7,7 +7,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .align import AlignedSequence
 from .smiles import CanonicalKey
 
 DEPTH_BUCKETS = ("1", "2", "3", "4", ">=5")
@@ -129,28 +128,16 @@ def levenshtein(a: str, b: str) -> int:
     return score
 
 
-def _sequence_lines(sequence: AlignedSequence | Sequence[str]) -> list[tuple[str, str]]:
-    if isinstance(sequence, AlignedSequence):
-        return [
-            (step.product_text, ".".join(step.precursor_texts))
-            for step in sequence.steps
-        ]
-    pairs: list[tuple[str, str]] = []
-    for line in sequence:
-        product, _, rhs = line.partition(">>")
-        pairs.append((product, rhs))
-    return pairs
-
-
-def nld_profile(sequence: AlignedSequence | Sequence[str]) -> list[tuple[int, float]]:
+def nld_profile(lines: Sequence[str]) -> list[tuple[int, float]]:
     """Per-step normalized edit distance between the first product (the
-    target as written) and each step's full precursor side."""
-    pairs = _sequence_lines(sequence)
-    if not pairs:
+    target as written) and each step's full precursor side, over rendered
+    `product>>precursors` lines."""
+    parts = [line.partition(">>") for line in lines]
+    if not parts:
         return []
-    target_text = pairs[0][0]
+    target_text = parts[0][0]
     profile: list[tuple[int, float]] = []
-    for k, (_, rhs) in enumerate(pairs, start=1):
+    for k, (_, _, rhs) in enumerate(parts, start=1):
         denominator = max(len(target_text), len(rhs))
         profile.append((k, levenshtein(target_text, rhs) / denominator))
     return profile

@@ -15,7 +15,7 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import CycleError, SchemaError, SmilesSyntaxError
+from .errors import CycleError, RouteError, SchemaError, SmilesSyntaxError
 from .smiles import CanonicalKey, Molecule, canonical_key, parse_smiles, smiles_keys
 
 
@@ -179,13 +179,15 @@ def read_json(path: str | Path, kind: type):
     return parse_json(read_text(path), str(path), kind)
 
 
-def read_rows(path: str | Path) -> list[dict]:
-    """The objects of a JSON-lines file, one per non-blank line."""
-    return [
-        parse_json(line, f"{path} line {line_number}", dict)
-        for line_number, line in enumerate(read_text(path).splitlines(), start=1)
-        if line.strip()
-    ]
+def read_rows(path: str | Path) -> list[tuple[str, dict]]:
+    """The objects of a JSON-lines file, one per non-blank line, each with
+    its locator `PATH line N` (N counts every line from 1)."""
+    rows = []
+    for line_number, line in enumerate(read_text(path).splitlines(), start=1):
+        if line.strip():
+            where = f"{path} line {line_number}"
+            rows.append((where, parse_json(line, where, dict)))
+    return rows
 
 
 def read_field(row, name: str, where: str, *kinds: type):
@@ -210,26 +212,40 @@ def read_count(row, name: str, where: str) -> int:
     return value
 
 
-def _keys(text: str, where: str) -> list[CanonicalKey]:
+def _smiles(read: Callable[[str], list], text: str, where: str) -> list:
+    """read(text), where read is parse_smiles or smiles_keys: one item per
+    '.'-component, with a SMILES fault raised as a SchemaError naming where."""
     try:
-        return smiles_keys(text)
+        return read(text)
     except SmilesSyntaxError as exc:
         raise SchemaError(f"{where}: {exc}") from exc
+
+
+def _single(components: list, where: str):
+    """The one component of a text that must spell a single molecule."""
+    if len(components) != 1:
+        raise SchemaError(f"{where}: expected a single-component SMILES, got {len(components)}")
+    return components[0]
+
+
+def read_molecule(text, where: str) -> Molecule:
+    """The one Molecule that the SMILES string text spells."""
+    if type(text) is not str:
+        raise SchemaError(f"{where}: expected a SMILES string")
+    return _single(_smiles(parse_smiles, text, where), where)
 
 
 def read_keys(texts, where: str) -> frozenset[CanonicalKey]:
     """Keys of every '.'-component of a list of SMILES texts."""
     if type(texts) is not list or any(type(text) is not str for text in texts):
         raise SchemaError(f"{where}: expected a list of SMILES strings")
-    return frozenset(key for text in texts for key in _keys(text, where))
+    return frozenset(key for text in texts for key in _smiles(smiles_keys, text, where))
 
 
 def read_target(row, where: str) -> CanonicalKey:
     """Key of row["target"], which must be the SMILES of one molecule."""
-    keys = _keys(read_field(row, "target", where, str), f"{where} target")
-    if len(keys) != 1:
-        raise SchemaError(f"{where}: target must be a single molecule")
-    return keys[0]
+    at = f"{where} target"
+    return _single(_smiles(smiles_keys, read_field(row, "target", where, str), at), at)
 
 
 def read_references(row, where: str) -> tuple[frozenset[CanonicalKey], ...]:
@@ -253,43 +269,52 @@ def load_stock(path: str | Path) -> StockSet:
     for line_number, line in enumerate(read_text(path).splitlines(), start=1):
         line = line.strip()
         if line:
-            keys.update(_keys(line, f"stock line {line_number}"))
+            keys.update(_smiles(smiles_keys, line, f"stock line {line_number}"))
     if not keys:
         raise SchemaError(f"stock file {path} contains no molecules")
     return StockSet(frozenset(keys), str(path))
 
 
-def _find_cycle(route: Route) -> list[str]:
-    """Return keys on a cycle of the precursor->product graph, if any."""
+def _depths(route: Route) -> tuple[dict[CanonicalKey, int], list[str]]:
+    """One depth-first walk of the precursor->product graph, from each
+    product in reaction order. Returns the depth in reaction steps of each
+    molecule reached (0 for a leaf) and the keys on the first cycle met, if
+    any; the walk stops there, and then the depths are not to be used."""
     producers = route.producer_of()
 
     def precursor_keys(key: CanonicalKey):
         reaction = producers.get(key)
         return iter(reaction.precursor_keys() if reaction is not None else ())
 
-    WHITE, GRAY, BLACK = 0, 1, 2
-    state: dict[CanonicalKey, int] = {}
+    depth: dict[CanonicalKey, int] = {}  # -1 while the key is on the trail
     for reaction in route.reactions:
         start = reaction.product_key
-        if state.get(start, WHITE) != WHITE:
+        if start in depth:
             continue
-        # Depth-first: trail[i] is the key whose precursors pending[i] yields.
-        state[start] = GRAY
-        trail, pending = [start], [precursor_keys(start)]
-        while pending:
+        # trail[i] is the key whose precursors pending[i] yields; deepest[i]
+        # is the greatest depth among those precursors so far (-1 for none).
+        depth[start] = -1
+        trail, pending, deepest = [start], [precursor_keys(start)], [-1]
+        while trail:
             child = next(pending[-1], None)
             if child is None:
-                state[trail.pop()] = BLACK
                 pending.pop()
+                finished = deepest.pop() + 1
+                depth[trail.pop()] = finished
+                if deepest and finished > deepest[-1]:
+                    deepest[-1] = finished
                 continue
-            mark = state.get(child, WHITE)
-            if mark == GRAY:
-                return [k.key for k in trail[trail.index(child):]]
-            if mark == WHITE:
-                state[child] = GRAY
+            seen = depth.get(child)
+            if seen is None:
+                depth[child] = -1
                 trail.append(child)
                 pending.append(precursor_keys(child))
-    return []
+                deepest.append(-1)
+            elif seen < 0:
+                return depth, [k.key for k in trail[trail.index(child):]]
+            elif seen > deepest[-1]:
+                deepest[-1] = seen
+    return depth, []
 
 
 def validate_route(route: Route, stock: StockSet) -> ValidationReport:
@@ -318,7 +343,7 @@ def validate_route(route: Route, stock: StockSet) -> ValidationReport:
     stepwise_offenders = [
         key.key for key, count in produced_counts.items() if count > 1
     ]
-    stepwise_offenders.extend(_find_cycle(route))
+    stepwise_offenders.extend(_depths(route)[1])
 
     grounding_offenders = [key.key for key in route.stock_refs if key not in stock.keys]
 
@@ -364,15 +389,16 @@ class RouteTree:
 
 def to_tree(route: Route) -> RouteTree:
     """Decouple convergent intermediates by duplicating every occurrence
-    beyond the first. Raises CycleError on cyclic routes."""
-    cycle = _find_cycle(route)
+    beyond the first. Raises CycleError on cyclic routes and RouteError when
+    a molecule has more than one producing reaction."""
+    _, cycle = _depths(route)
     if cycle:
         raise CycleError(f"route contains a cycle through {cycle}")
     producers = route.producer_of()
     counts = Counter(r.product_key for r in route.reactions)
     for key, count in counts.items():
         if count > 1:
-            raise ValueError(
+            raise RouteError(
                 f"molecule {key.key} has more than one producing reaction"
             )
 
@@ -429,28 +455,12 @@ def linearize_nodes(
 
 def route_depth(route: Route) -> int:
     """Longest leaf-to-target distance in reaction steps. Raises CycleError
-    when a molecule is its own precursor, directly or through others."""
-    producers = route.producer_of()
-    depth: dict[CanonicalKey, int] = {}
-    on_path: set[CanonicalKey] = set()  # expanded, not yet finished
-    stack = [route.target_key]
-    while stack:
-        key = stack[-1]
-        reaction = producers.get(key)
-        if key in depth or reaction is None:
-            depth.setdefault(key, 0)
-            stack.pop()
-        elif key in on_path:
-            depth[key] = 1 + max(depth[k] for k in reaction.precursor_keys())
-            on_path.discard(key)
-            stack.pop()
-        else:
-            on_path.add(key)
-            for child in reaction.precursor_keys():
-                if child in on_path:
-                    raise CycleError(f"route contains a cycle through {child.key}")
-                stack.append(child)
-    return depth[route.target_key]
+    when a molecule is its own precursor, directly or through others, also
+    on a cycle the target does not reach."""
+    depth, cycle = _depths(route)
+    if cycle:
+        raise CycleError(f"route contains a cycle through {cycle}")
+    return depth.get(route.target_key, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -469,43 +479,29 @@ class RouteRecord:
     raw: dict
 
 
-def _parse_single(text, where: str) -> Molecule:
-    if not isinstance(text, str):
-        raise SchemaError(f"{where}: expected a SMILES string")
-    molecules = parse_smiles(text)
-    if len(molecules) != 1:
-        raise SchemaError(f"{where}: expected a single-component SMILES, got {len(molecules)}")
-    return molecules[0]
-
-
 def record_from_raw(raw: dict, index: int) -> RouteRecord:
-    """One dataset entry, checked and parsed. Raises SmilesSyntaxError for a
-    bad target or reaction text and SchemaError for any other fault, a bad
-    reference text included; both name the record."""
+    """One dataset entry, checked and parsed. Raises SchemaError for any
+    fault, naming the record and the field, as in
+    `record 3 reaction 2 precursor 1: unclosed branch`."""
     where = f"record {index}"
-    target_text = read_field(raw, "target", where, str)
+    target = read_molecule(read_field(raw, "target", where, str), f"{where} target")
     entries = read_field(raw, "reactions", where, list)
     references = read_references(raw, where)
     ref_depth = read_count(raw, "ref_depth", where)
-    try:
-        target = _parse_single(target_text, f"{where} target")
-        reactions: list[Reaction] = []
-        for j, entry in enumerate(entries):
-            at = f"{where} reaction {j}"
-            product = _parse_single(read_field(entry, "product", at), f"{at} product")
-            texts = read_field(entry, "precursors", at, list)
-            if not texts:
-                raise SchemaError(f"{at}: empty precursor list")
-            precursors = tuple(
-                _parse_single(text, f"{at} precursor {k}") for k, text in enumerate(texts)
-            )
+    reactions: list[Reaction] = []
+    for j, entry in enumerate(entries):
+        at = f"{where} reaction {j}"
+        product = read_molecule(read_field(entry, "product", at), f"{at} product")
+        texts = read_field(entry, "precursors", at, list)
+        if not texts:
+            raise SchemaError(f"{at}: empty precursor list")
+        precursors = tuple(
+            read_molecule(text, f"{at} precursor {k}") for k, text in enumerate(texts)
+        )
+        try:
             reactions.append(Reaction.from_molecules(product, precursors))
-    except SmilesSyntaxError as exc:
-        raise SmilesSyntaxError(f"{where}: {exc}") from exc
-    except ValueError as exc:
-        if isinstance(exc, SchemaError):
-            raise
-        raise SchemaError(f"{where}: {exc}") from exc
+        except ValueError as exc:  # a map number repeated within one molecule
+            raise SchemaError(f"{at}: {exc}") from exc
 
     route = Route.build(target, tuple(reactions))
     return RouteRecord(route, references, ref_depth, index, raw)
@@ -517,8 +513,8 @@ def read_dataset(path: str | Path) -> list:
 
 
 def ingest_dataset(path: str | Path) -> list[RouteRecord]:
-    """Load a dataset file. Raises SchemaError / SmilesSyntaxError annotated
-    with the failing record index."""
+    """Load a dataset file. Raises SchemaError naming the failing record and
+    field."""
     return [record_from_raw(raw, index) for index, raw in enumerate(read_dataset(path))]
 
 

@@ -6,11 +6,19 @@ output can be asserted directly.
 
 from __future__ import annotations
 
+import contextlib
+import copy
+import functools
+import io
 import json
+import operator
 import random
+import re
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import golden
 import retroroute.cli
@@ -159,6 +167,36 @@ def test_thousand_step_chain_route_exits_zero(chain, tmp_path, capsys, command):
         assert len(json.loads(out.read_text())["lines"]) == chain.steps
     else:
         assert len(out.read_text().splitlines()) == chain.steps + 1
+
+
+@pytest.mark.parametrize("command", ["align", "nld"])
+@pytest.mark.parametrize(
+    "steps, needle",
+    [
+        ([("CCO", "CC=O"), ("CC=O", "CCO")], "route contains a cycle through ['CCO', 'CC=O']"),
+        ([("CCO", "CC=O"), ("CCO", "CCBr")], "molecule CCO has more than one producing reaction"),
+    ],
+    ids=["cycle", "two-producers"],
+)
+def test_route_that_cannot_become_a_tree_exits_one(tmp_path, capsys, command, steps, needle):
+    def record(steps) -> dict:
+        reactions = [{"product": p, "precursors": [q]} for p, q in steps]
+        return {"target": "CCO", "reactions": reactions, "references": [["CC=O"]], "ref_depth": 1}
+
+    dataset = tmp_path / "dataset.json"
+    dataset.write_text(json.dumps([record(steps[:1]), record(steps)]), encoding="utf-8")
+    assert main([command, str(dataset), "-o", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: record 1: {needle}\n"
+
+
+@pytest.mark.parametrize("mode", ["aligned", "canonical"])
+def test_nld_of_a_route_without_reactions_writes_no_steps(tmp_path, mode):
+    raw = {"target": "CCO", "reactions": [], "references": [["CCO"]], "ref_depth": 0}
+    dataset = tmp_path / "dataset.json"
+    dataset.write_text(json.dumps([raw]), encoding="utf-8")
+    out = tmp_path / "nld.csv"
+    assert main(["nld", str(dataset), "--mode", mode, "-o", str(out)]) == 0
+    assert out.read_text() == "route_id,mode,step,nld\n"
 
 
 def test_missing_dataset_file_exits_two(work, tmp_path, capsys):
@@ -350,7 +388,7 @@ def test_score_plan_text_must_be_a_string(work, tmp_path, capsys):
     plans = write_jsonl(tmp_path / "plans.jsonl", [row])
     assert main(["score", plans, work.dataset, "-o", str(tmp_path / "s.jsonl")]) == 2
     err = capsys.readouterr().err
-    assert err == "error: plan 0: plan_text must be a string\n"
+    assert err == f"error: {plans} line 1: plan_text must be a string\n"
 
 
 def test_score_parses_each_target_text_once(work, tmp_path, capsys, monkeypatch):
@@ -395,10 +433,11 @@ _SCORE = {"target": "CCO", "plan_text": WRAP + "CCO>>CC=O.O", "references": [["C
         ("score", dict(_SCORE, ref_depth=1.5), "ref_depth must be a non-negative integer"),
         ("score", dict(_SCORE, references=[["O"], "CC=O"]), "reference 1: expected a list of SMILES strings"),
         ("score", dict(_SCORE, target=["CCO"]), "target must be a string"),
-        ("score", dict(_SCORE, references=[["CC=O", "C("]]), "plan 0 reference 0: unclosed branch"),
-        ("score", dict(_SCORE, references=[[]]), "plan 0 reference 0: expected a non-empty list"),
+        ("score", dict(_SCORE, references=[["CC=O", "C("]]), "line 1 reference 0: unclosed branch"),
+        ("score", dict(_SCORE, references=[[]]), "line 1 reference 0: expected a non-empty list"),
         ("score", dict(_SCORE, references="CC=O"), "references must be an array"),
-        ("vote", {"target": "C1CC", "entries": [_ENTRY]}, "slate 0 target: unclosed ring closure"),
+        ("vote", {"target": "C1CC", "entries": [_ENTRY]}, "line 1 target: unclosed ring closure"),
+        ("score", dict(_SCORE, target="CCO.O"), "target: expected a single-component SMILES, got 2"),
     ],
     ids=[
         "eval-candidate-without-precursors",
@@ -418,6 +457,7 @@ _SCORE = {"target": "CCO", "plan_text": WRAP + "CCO>>CC=O.O", "references": [["C
         "score-empty-reference-group",
         "score-references-not-a-list",
         "vote-bad-target-smiles",
+        "score-two-component-target",
     ],
 )
 def test_bad_row_fields_exit_two_with_one_line(work, tmp_path, capsys, command, row, needle):
@@ -433,6 +473,14 @@ def test_bad_row_fields_exit_two_with_one_line(work, tmp_path, capsys, command, 
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert needle in err
+
+
+def test_row_fault_names_the_file_line(tmp_path, capsys):
+    path = tmp_path / "slates.jsonl"
+    entry = dict(_ENTRY, precursors=["C("])
+    path.write_text("\n" + json.dumps({"target": "CCO", "entries": [entry]}) + "\n", encoding="utf-8")
+    assert main(["vote", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path} line 2 entry 0: unclosed branch\n"
 
 
 # ---------------------------------------------------------------------------
@@ -697,3 +745,94 @@ def test_fold_flag_must_be_positive(work, tmp_path, capsys):
     rc = main(["align", work.dataset, "--fold", "0", "-o", str(tmp_path / "x.jsonl")])
     assert rc == 2
     assert "at least 1" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# any text in any SMILES field
+# ---------------------------------------------------------------------------
+
+_SMILES_LIKE = "CNOSBrcln[]()=#@+-:.%/\\0123H "
+# One clean route, its stock, and one row of each kind that reads SMILES.
+_CLEAN_INPUTS = {
+    "dataset": {
+        "target": "CCO",
+        "reactions": [
+            {"product": "[CH3:1][CH2:2][OH:3]", "precursors": ["[CH3:1][CH2:2]Br", "[OH2:3]"]}
+        ],
+        "references": [["CCBr", "O"]],
+        "ref_depth": 1,
+    },
+    "stock": ["CCBr", "O"],
+    "score": {"target": "CCO", "plan_text": WRAP + "CCO>>CCBr.O",
+              "references": [["CCBr", "O"]], "ref_depth": 1},
+    "vote": {"target": "CCO", "entries": [{"plan_id": "a", "precursors": ["CCBr", "O"], "depth": 1}]},
+    "eval": {"target": "CCO", "candidates": [{"precursors": ["CCBr", "O"], "depth": 1}]},
+}
+_DATASET_COMMANDS = ("ingest", "align", "nld")
+# Field -> (paths into _CLEAN_INPUTS where the text goes, commands that read
+# it, regexes of which an exit-2 error line must match one after "error: ").
+# A repeated map number is named by its reaction, with the molecule in the
+# message.
+_FIELDS = {
+    "dataset-target": ([("dataset", "target")], _DATASET_COMMANDS, ["record 0 target: "]),
+    "product": (
+        [("dataset", "reactions", 0, "product")],
+        _DATASET_COMMANDS,
+        ["record 0 reaction 0 product: ",
+         r"record 0 reaction 0: duplicate map number \d+ on product atoms$"],
+    ),
+    "precursor": (
+        [("dataset", "reactions", 0, "precursors", 1)],
+        _DATASET_COMMANDS,
+        ["record 0 reaction 0 precursor 1: ",
+         r"record 0 reaction 0: duplicate map number \d+ on precursor 1$"],
+    ),
+    "reference": ([("dataset", "references", 0, 1)], _DATASET_COMMANDS, ["record 0 reference 0: "]),
+    "stock-line": ([("stock", 1)], ("ingest",), ["stock line 2: "]),
+    "row-target": (
+        [("score", "target"), ("vote", "target"), ("eval", "target")],
+        ("score", "vote", "eval"),
+        ["{rows} line 1 target: ", "{rows} line 1: target not"],
+    ),
+    "entry-precursor": (
+        [("vote", "entries", 0, "precursors", 1), ("eval", "candidates", 0, "precursors", 1)],
+        ("vote", "eval"),
+        ["{rows} line 1 entry 0: ", "{rows} line 1 candidate 0: "],
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def field_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fields")
+
+
+@pytest.mark.parametrize("field", sorted(_FIELDS))
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(text=st.text(_SMILES_LIKE, max_size=16))
+def test_any_text_in_a_smiles_field_exits_cleanly(field_dir, field, text):
+    places, commands, patterns = _FIELDS[field]
+    inputs = copy.deepcopy(_CLEAN_INPUTS)
+    for *path, last in places:
+        functools.reduce(operator.getitem, path, inputs)[last] = text
+    dataset, stock, out = field_dir / "dataset.json", field_dir / "stock.smi", field_dir / "out"
+    dataset.write_text(json.dumps([inputs["dataset"]]), encoding="utf-8")
+    stock.write_text("\n".join(inputs["stock"]) + "\n", encoding="utf-8")
+    rows = {name: write_jsonl(field_dir / f"{name}.jsonl", [inputs[name]]) for name in ("score", "vote", "eval")}
+    argv = {
+        "ingest": ["ingest", str(dataset), str(stock)],
+        "align": ["align", str(dataset), "--fold", "2", "-o", str(out)],
+        "nld": ["nld", str(dataset), "-o", str(out)],
+        "score": ["score", rows["score"], str(dataset), "-o", str(out)],
+        "vote": ["vote", rows["vote"], "-o", str(out)],
+        "eval": ["eval", rows["eval"], str(dataset), "-o", str(out)],
+    }
+    for command in commands:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv[command])
+        assert code in (0, 1, 2), (command, code)
+        if code == 2:
+            line = err.getvalue()
+            named = "|".join(p.format(rows=re.escape(rows.get(command, ""))) for p in patterns)
+            assert line.count("\n") == 1 and re.match(f"error: (?:{named})", line), (command, line)

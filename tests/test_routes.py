@@ -9,7 +9,7 @@ import pytest
 
 import golden
 from generators import rand_route_record
-from retroroute.errors import CycleError, SchemaError, SmilesSyntaxError
+from retroroute.errors import CycleError, SchemaError
 from retroroute.routes import (
     Reaction,
     Route,
@@ -358,6 +358,12 @@ def test_depth_rejects_cycles():
         route_depth(cyclic)
 
 
+def test_depth_rejects_a_cycle_the_target_does_not_reach():
+    r = route("CCCO", rxn("CCCO", "CCC=O"), rxn("CCN", "CC#N"), rxn("CC#N", "CCN"))
+    with pytest.raises(CycleError, match="cycle through"):
+        route_depth(r)
+
+
 def test_generated_routes_validate_and_have_requested_depth():
     rng = random.Random(3)
     for wanted in (1, 2, 4, 6):
@@ -466,6 +472,16 @@ def test_ingest_write_fixpoint(tmp_path):
         (lambda raw: raw.update(references=[["CC=O", 42]]), "reference 0: expected a list of SMILES strings"),
         (lambda raw: raw.update(ref_depth=True), "ref_depth must be a non-negative integer"),
         (lambda raw: raw.update(references=[["CC=O", "C("]]), "reference 0: unclosed branch"),
+        (lambda raw: raw.update(target="C(C"), "record 1 target: unclosed branch"),
+        (lambda raw: raw["reactions"][0].update(product="C(C"), "reaction 0 product: unclosed branch"),
+        (
+            lambda raw: raw["reactions"][0].update(precursors=["CC=O", "C1CC"]),
+            "reaction 0 precursor 1: unclosed ring closure",
+        ),
+        (
+            lambda raw: raw["reactions"][0].update(product="[CH3:1][CH2:1]O"),
+            "record 1 reaction 0: duplicate map number",
+        ),
     ],
 )
 def test_ingest_schema_errors_name_the_record(tmp_path, mutate, needle):
@@ -482,7 +498,7 @@ def test_ingest_schema_errors_name_the_record(tmp_path, mutate, needle):
 def test_ingest_bad_smiles_keeps_record_index(tmp_path):
     path = tmp_path / "data.json"
     path.write_text(json.dumps([make_raw(target="C(C")]), encoding="utf-8")
-    with pytest.raises(SmilesSyntaxError, match="record 0"):
+    with pytest.raises(SchemaError, match="record 0 target: unclosed branch"):
         ingest_dataset(path)
 
 

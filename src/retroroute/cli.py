@@ -15,7 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
-from .align import align_route, augment_roots, default_root, render_sequence
+from .align import AlignedSequence, align_route, augment_roots, default_root, render_sequence
 from .consensus import CandidateSlate, SlateEntry, vote
 from .errors import ConfigError, RouteError, SchemaError, SmilesSyntaxError
 from .evaluate import (
@@ -209,6 +209,11 @@ def _tree(record: RouteRecord) -> RouteTree:
         raise RouteError(f"record {record.index}: {exc}") from exc
 
 
+def _sequence_lines(sequence: AlignedSequence) -> list[str]:
+    """One rendered line per step; none for a route with no steps."""
+    return render_sequence(sequence).split("\n") if sequence.steps else []
+
+
 def _align_worker(task: tuple[int, dict, int, int]) -> list[str]:
     index, raw, fold, base_seed = task
     tree = _tree(record_from_raw(raw, index))
@@ -220,7 +225,7 @@ def _align_worker(task: tuple[int, dict, int, int]) -> list[str]:
                 {
                     "route_id": index,
                     "target_root": sequence.target_root,
-                    "lines": render_sequence(sequence).split("\n"),
+                    "lines": _sequence_lines(sequence),
                 }
             )
         )
@@ -406,8 +411,7 @@ def _format_report(report: EvalReport) -> str:
 def _route_lines(record: RouteRecord, mode: str) -> list[str]:
     tree = _tree(record)
     if mode == "aligned":
-        sequence = align_route(tree, default_root(tree.root.molecule))
-        return render_sequence(sequence).split("\n") if sequence.steps else []
+        return _sequence_lines(align_route(tree, default_root(tree.root.molecule)))
     lines = []
     for node in linearize_nodes(tree):
         product = canonical_key(node.reaction.product).key

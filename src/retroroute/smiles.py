@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import SmilesSyntaxError
 
@@ -187,9 +188,9 @@ class Molecule:
         return [i for i, a in enumerate(self.atoms) if a.element != "H"]
 
 
-@dataclass(frozen=True)
-class CanonicalKey:
-    """Identifier equal between two molecules iff they are graph-isomorphic."""
+class CanonicalKey(NamedTuple):
+    """Identifier equal between two molecules iff they are graph-isomorphic.
+    A named tuple, so dicts and sets of keys hash and compare it in C."""
 
     key: str
 
@@ -442,70 +443,73 @@ def _demote_aromatic_bridges(
 # ---------------------------------------------------------------------------
 
 
-def _dense_rank(keys: list) -> list[int]:
-    order = {key: rank for rank, key in enumerate(sorted(set(keys)))}
-    return [order[key] for key in keys]
-
-
-def _refine(m: Molecule, colors: list[int]) -> list[int]:
-    adjacency = m.adjacency
-    n_colors = len(set(colors))
-    while True:
-        signatures = [
-            (
-                colors[i],
-                tuple(
-                    sorted(
-                        (BOND_CODE[bond.order], colors[bond.other(i)])
-                        for bond in adjacency[i]
-                    )
-                ),
-            )
-            for i in range(len(m.atoms))
-        ]
-        refined = _dense_rank(signatures)
-        if len(set(refined)) == n_colors:
-            return refined
-        colors, n_colors = refined, len(set(refined))
-
-
 def canonical_ranks(m: Molecule) -> tuple[int, ...]:
     """Deterministic atom ranks, 0..n-1, stable across equivalent input orderings.
 
     Iterative invariant refinement seeded by (element, charge, isotope,
-    aromatic flag, degree, hydrogen count); remaining ties are broken by
-    promoting the smallest input index and re-refining. Map numbers and
-    stereo marks play no part. The tuple is computed once per molecule and
-    the same object is returned on every call.
+    aromatic flag, degree, hydrogen count). The atoms are kept in cells: the
+    atoms of one colour in index order, the cells in colour order, a cell's
+    place being its atoms' colour. Each round signs only the atoms of cells
+    that still hold more than one atom, by their sorted (bond code, neighbour
+    colour) pairs packed as the integers code * n + colour, and splits each
+    such cell by its distinct signatures in sorted order. When a round splits
+    nothing, remaining ties are broken by promoting the smallest input index
+    of the first tied cell (its smallest colour) to a cell of its own ahead of
+    the rest, and refinement resumes. Map numbers and stereo marks play no
+    part. The tuple is computed once per molecule and the same object is
+    returned on every call.
     """
     if m._ranks is not None:
         return m._ranks
     if not m.atoms:
         raise ValueError("cannot rank an empty molecule")
-    seeds = [
-        (
+    n = len(m.atoms)
+    adjacency = m.adjacency
+    # Every colour is below n, so code * n + colour sorts as (code, colour).
+    table = [
+        [(BOND_CODE[bond.order] * n, bond.b if bond.a == i else bond.a) for bond in row]
+        for i, row in enumerate(adjacency)
+    ]
+    by_seed: dict[tuple, list[int]] = {}
+    for i, atom in enumerate(m.atoms):
+        seed = (
             atom.element,
             atom.charge,
             atom.isotope or 0,
             atom.aromatic,
-            m.degree(i),
+            len(adjacency[i]),
             m.effective_hydrogens(i),
         )
-        for i, atom in enumerate(m.atoms)
-    ]
-    colors = _refine(m, _dense_rank(seeds))
-    n = len(m.atoms)
-    while len(set(colors)) < n:
-        counts: dict[int, int] = {}
-        for color in colors:
-            counts[color] = counts.get(color, 0) + 1
-        tied = min(color for color, count in counts.items() if count > 1)
-        chosen = min(i for i in range(n) if colors[i] == tied)
-        colors = _dense_rank(
-            [(color, 0 if i == chosen else 1) for i, color in enumerate(colors)]
-        )
-        colors = _refine(m, colors)
-    m._ranks = tuple(colors)
+        by_seed.setdefault(seed, []).append(i)
+    cells = [by_seed[seed] for seed in sorted(by_seed)]
+    colour = [0] * n
+    start: int | None = 0  # the first cell whose atoms need their colour set
+    while True:
+        for c in range(start, len(cells)):
+            for i in cells[c]:
+                colour[i] = c
+        start = None
+        refined: list[list[int]] = []
+        for cell in cells:
+            if len(cell) > 1:
+                groups: dict[tuple[int, ...], list[int]] = {}
+                for i in cell:
+                    signature = tuple(sorted([code + colour[j] for code, j in table[i]]))
+                    groups.setdefault(signature, []).append(i)
+                if len(groups) > 1:
+                    if start is None:
+                        start = len(refined)
+                    refined.extend(groups[signature] for signature in sorted(groups))
+                    continue
+            refined.append(cell)
+        if start is None:
+            if len(cells) == n:
+                break
+            start = next(c for c, cell in enumerate(cells) if len(cell) > 1)
+            tied = cells[start]
+            refined[start : start + 1] = [tied[:1], tied[1:]]
+        cells = refined
+    m._ranks = tuple(colour)
     return m._ranks
 
 

@@ -199,6 +199,16 @@ def test_nld_of_a_route_without_reactions_writes_no_steps(tmp_path, mode):
     assert out.read_text() == "route_id,mode,step,nld\n"
 
 
+def test_align_of_a_route_without_reactions_writes_no_lines(tmp_path):
+    raw = {"target": "B", "reactions": [], "references": [["B"]], "ref_depth": 0}
+    dataset = tmp_path / "dataset.json"
+    dataset.write_text(json.dumps([raw]), encoding="utf-8")
+    out = tmp_path / "aligned.jsonl"
+    assert main(["align", str(dataset), "--fold", "2", "-o", str(out)]) == 0
+    rows = [json.loads(line) for line in out.read_text().splitlines()]
+    assert rows == [{"lines": [], "route_id": 0, "target_root": 0}]
+
+
 def test_missing_dataset_file_exits_two(work, tmp_path, capsys):
     assert main(["ingest", str(tmp_path / "nope.json"), work.stock]) == 2
     assert capsys.readouterr().err.startswith("error:")

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import golden
 from generators import rand_molecule, rand_smiles
 from isomorphism import is_isomorphic
+from reference_ranks import canonical_ranks as reference_ranks
 from reference_writer import write_rooted as reference_write_rooted
 from retroroute import smiles
 from retroroute.smiles import (
@@ -24,6 +25,7 @@ from retroroute.smiles import (
     TRIPLE,
     Atom,
     Bond,
+    CanonicalKey,
     Molecule,
     RootedWriter,
     SmilesSyntaxError,
@@ -512,6 +514,65 @@ def test_ranks_benzene_ties_break_deterministically():
     assert sorted(a) == list(range(6))
 
 
+def ring(size: int) -> Molecule:
+    return Molecule(
+        tuple(Atom("C") for _ in range(size)),
+        tuple(Bond(i, (i + 1) % size, SINGLE) for i in range(size)),
+    )
+
+
+def cubic_cage(rng: random.Random, size: int) -> Molecule:
+    """A random connected simple graph of `size` carbons, each of degree 3:
+    three stubs per atom paired at random until the pairing has no loop, no
+    doubled bond and one component."""
+    while True:
+        stubs = [i for i in range(size) for _ in range(3)]
+        rng.shuffle(stubs)
+        pairs = {tuple(sorted(stubs[k : k + 2])) for k in range(0, len(stubs), 2)}
+        if len(pairs) < len(stubs) // 2 or any(a == b for a, b in pairs):
+            continue
+        m = Molecule(tuple(Atom("C") for _ in range(size)), tuple(Bond(a, b, SINGLE) for a, b in pairs))
+        reached, frontier = {0}, [0]
+        while frontier:
+            for bond in m.adjacency[frontier.pop()]:
+                for j in (bond.a, bond.b):
+                    if j not in reached:
+                        reached.add(j)
+                        frontier.append(j)
+        if len(reached) == size:
+            return m
+
+
+def permuted(m: Molecule, rng: random.Random) -> Molecule:
+    """m with its atoms in a random order and its bonds in another."""
+    order = list(range(len(m.atoms)))
+    rng.shuffle(order)
+    place = {old: new for new, old in enumerate(order)}
+    bonds = [replace(bond, a=place[bond.a], b=place[bond.b]) for bond in m.bonds]
+    rng.shuffle(bonds)
+    return Molecule(tuple(m.atoms[old] for old in order), tuple(bonds))
+
+
+def ranks_corpus() -> list[Molecule]:
+    molecules = [m for text in golden.all_box_smiles() for m in parse_smiles(text)]
+    for reaction in golden.build_reactions():
+        molecules += [reaction.product, *reaction.precursors]
+    k6_bonds = tuple(Bond(a, b, SINGLE) for a, b in combinations(range(6), 2))
+    molecules.append(Molecule(tuple(Atom("C") for _ in range(6)), k6_bonds))
+    molecules += [ring(size) for size in (3, 64, 400)]
+    rng = random.Random(909)
+    molecules += [cubic_cage(rng, size) for size in (8, 10, 12) for _ in range(8)]
+    for _ in range(150):
+        m = rand_molecule(rng, max_atoms=20)
+        molecules += [m] + [permuted(m, rng) for _ in range(5)]
+    return molecules
+
+
+def test_ranks_match_reference_ranks():
+    for m in ranks_corpus():
+        assert canonical_ranks(m) == reference_ranks(m)
+
+
 def test_key_equality_examples():
     assert canonical_key(one("CCO")) == canonical_key(one("OCC"))
     assert canonical_key(one("CCO")) != canonical_key(one("CCN"))
@@ -545,6 +606,19 @@ def test_shuffled_renders_share_one_key():
             again = one(text)
             assert canonical_key(again) == key
             assert is_isomorphic(again, m)
+
+
+def test_key_is_an_immutable_text_identity():
+    key = CanonicalKey("CCO")
+    assert key.key == "CCO"
+    assert repr(key) == "CanonicalKey(key='CCO')"
+    assert key == CanonicalKey("CCO") and hash(key) == hash(CanonicalKey("CCO"))
+    assert key != CanonicalKey("OCC") and key != CanonicalKey("CCN")
+    assert key != "CCO" and "CCO" != key
+    assert {key: 1}.get(CanonicalKey("C" + "CO")) == 1 and "CCO" not in {key}
+    with pytest.raises(AttributeError):
+        key.key = "CCN"
+    assert key.key == "CCO"
 
 
 def test_corresponding_atom_transfers_by_rank():

@@ -80,7 +80,7 @@ def align_route(
         entries: list[tuple[float, int, str, int, RouteNode]] = []
         for i, child in enumerate(node.children):
             precursor = reaction.precursors[i]
-            mapping = reaction.map_for_precursor(i)
+            mapping = reaction.maps[i]
             if mapping:
                 anchor = float("inf")
                 child_root = -1

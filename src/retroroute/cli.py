@@ -112,19 +112,13 @@ def load_config(path: str | Path | None) -> PipelineConfig:
     reward_data = data.get("reward", {})
     _check_types(path, reward_data, _REWARD_TYPES, "reward")
     reward = RewardConfig(**reward_data, strict_format=data.get("strict_delimiters", False))
-    delimiters = data.get("delimiters", list(DEFAULT_DELIMITERS))
-    if len(delimiters) != 2 or not all(isinstance(d, str) and d for d in delimiters):
-        raise SchemaError(f"{path}: delimiters must be two non-empty strings")
-    return PipelineConfig(
-        dataset=data.get("dataset"),
-        stock=data.get("stock"),
-        reward=reward,
-        fold=data.get("fold", 20),
-        seed=data.get("seed", 0),
-        kmax=data.get("kmax", 5),
-        delimiters=(delimiters[0], delimiters[1]),
-        workers=data.get("workers", 1),
-    )
+    settings = {k: v for k, v in data.items() if k not in ("reward", "strict_delimiters")}
+    if "delimiters" in settings:
+        delimiters = settings["delimiters"]
+        if len(delimiters) != 2 or not all(isinstance(d, str) and d for d in delimiters):
+            raise SchemaError(f"{path}: delimiters must be two non-empty strings")
+        settings["delimiters"] = tuple(delimiters)
+    return PipelineConfig(reward=reward, **settings)
 
 
 def _apply_overrides(config: PipelineConfig, args: argparse.Namespace) -> PipelineConfig:
@@ -376,10 +370,7 @@ def cmd_eval(args: argparse.Namespace, config: PipelineConfig) -> int:
             "total": report.total,
         }
     )
-    if args.out is None:
-        print(payload)
-    else:
-        Path(args.out).write_text(payload + "\n", encoding="utf-8")
+    _write_lines(args.out, [payload])
     print(_format_report(report))
     if args.csv is not None:
         lines = ["bucket,count,top1"]
@@ -387,7 +378,7 @@ def cmd_eval(args: argparse.Namespace, config: PipelineConfig) -> int:
             accuracy = report.depth_accuracy[label]
             value = "" if accuracy is None else repr(accuracy)
             lines.append(f"{label},{report.depth_counts[label]},{value}")
-        Path(args.csv).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write_lines(args.csv, lines)
     return 0
 
 

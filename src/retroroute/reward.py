@@ -230,13 +230,11 @@ def _reconstruct(
             continue
         expanded[product_key] = keys
         demanded.update(keys)
-        reactions.append(Reaction(product, tuple(precursors), {}))
+        reactions.append(Reaction(product, tuple(precursors), tuple({} for _ in precursors)))
 
     route = Route.build(target, tuple(reactions))
     # Demand order alone cannot rule out cycles (T>>A then A>>T passes it).
-    try:
-        route_depth(route)
-    except ValueError:
+    if route.cycle:
         failures.append(PlanLineIssue(0, "structure", "plan graph contains a cycle"))
         return None
     return route

@@ -10,9 +10,9 @@ tree by duplicating each extra occurrence.
 from __future__ import annotations
 
 import json
-from collections import Counter, deque
+from collections import deque
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import CycleError, RouteError, SchemaError, SmilesSyntaxError
@@ -23,17 +23,14 @@ from .smiles import CanonicalKey, Molecule, canonical_key, parse_smiles, smiles_
 class Reaction:
     """One retro step: product decomposed into precursors.
 
-    atom_map sends (precursor index, atom index) to the product atom index;
-    pairs are built from shared map numbers and missing entries mean the
+    maps[i] sends each atom index of precursor i to its product atom index;
+    pairs are built from shared map numbers and a missing entry means the
     precursor atom has no product counterpart.
     """
 
     product: Molecule
     precursors: tuple[Molecule, ...]
-    atom_map: dict[tuple[int, int], int]
-    _per_precursor: tuple[dict[int, int], ...] | None = field(
-        default=None, repr=False, compare=False
-    )
+    maps: tuple[dict[int, int], ...]
 
     def __post_init__(self) -> None:
         if not self.precursors:
@@ -41,7 +38,7 @@ class Reaction:
 
     @classmethod
     def from_molecules(cls, product: Molecule, precursors: tuple[Molecule, ...]) -> "Reaction":
-        """Build the atom map from matching map numbers."""
+        """Build the atom maps from matching map numbers."""
         product_by_map: dict[int, int] = {}
         for j, atom in enumerate(product.atoms):
             if atom.map_number is not None:
@@ -50,9 +47,10 @@ class Reaction:
                         f"duplicate map number {atom.map_number} on product atoms"
                     )
                 product_by_map[atom.map_number] = j
-        atom_map: dict[tuple[int, int], int] = {}
+        maps: list[dict[int, int]] = []
         for i, mol in enumerate(precursors):
             seen: set[int] = set()
+            mapping: dict[int, int] = {}
             for a, atom in enumerate(mol.atoms):
                 if atom.map_number is None:
                     continue
@@ -62,16 +60,9 @@ class Reaction:
                     )
                 seen.add(atom.map_number)
                 if atom.map_number in product_by_map:
-                    atom_map[(i, a)] = product_by_map[atom.map_number]
-        return cls(product, tuple(precursors), atom_map)
-
-    def map_for_precursor(self, i: int) -> dict[int, int]:
-        if self._per_precursor is None:
-            per: list[dict[int, int]] = [{} for _ in self.precursors]
-            for (pi, ai), pj in self.atom_map.items():
-                per[pi][ai] = pj
-            self._per_precursor = tuple(per)
-        return self._per_precursor[i]
+                    mapping[a] = product_by_map[atom.map_number]
+            maps.append(mapping)
+        return cls(product, tuple(precursors), tuple(maps))
 
     @property
     def product_key(self) -> CanonicalKey:
@@ -83,35 +74,44 @@ class Reaction:
 
 @dataclass(eq=False)
 class Route:
-    """A retrosynthetic DAG rooted at `target`. stock_refs is the leaf key set."""
+    """A retrosynthetic DAG rooted at `target`, analysed once by `build`:
+    producers maps each product key to its first producing reaction;
+    made_twice lists the keys with more than one producer, in order of first
+    appearance; stock_refs is the leaf key set; cycle holds the keys on the
+    first cycle met, if any; depth is the longest leaf-to-target distance in
+    reaction steps, meaningful only when cycle is empty."""
 
     target: Molecule
     reactions: tuple[Reaction, ...]
+    producers: dict[CanonicalKey, Reaction]
+    made_twice: tuple[CanonicalKey, ...]
     stock_refs: frozenset[CanonicalKey]
+    cycle: tuple[str, ...]
+    depth: int
 
     @classmethod
     def build(cls, target: Molecule, reactions: tuple[Reaction, ...]) -> "Route":
-        produced = {r.product_key for r in reactions}
-        leaves: set[CanonicalKey] = set()
+        producers: dict[CanonicalKey, Reaction] = {}
+        repeated: set[CanonicalKey] = set()
         for reaction in reactions:
-            for key in reaction.precursor_keys():
-                if key not in produced:
-                    leaves.add(key)
+            key = reaction.product_key
+            if key in producers:
+                repeated.add(key)
+            else:
+                producers[key] = reaction
+        made_twice = tuple(key for key in producers if key in repeated)
+        leaves = {k for r in reactions for k in r.precursor_keys() if k not in producers}
         if not reactions:
             leaves = {canonical_key(target)}
-        return cls(target, tuple(reactions), frozenset(leaves))
+        depths, cycle = _depths(reactions, producers)
+        depth = depths.get(canonical_key(target), 0)
+        return cls(
+            target, tuple(reactions), producers, made_twice, frozenset(leaves), cycle, depth
+        )
 
     @property
     def target_key(self) -> CanonicalKey:
         return canonical_key(self.target)
-
-    def producer_of(self) -> dict[CanonicalKey, Reaction]:
-        """First producing reaction per key; duplicate producers are a
-        validation failure reported by validate_route."""
-        producers: dict[CanonicalKey, Reaction] = {}
-        for reaction in self.reactions:
-            producers.setdefault(reaction.product_key, reaction)
-        return producers
 
 
 @dataclass(frozen=True)
@@ -275,19 +275,20 @@ def load_stock(path: str | Path) -> StockSet:
     return StockSet(frozenset(keys), str(path))
 
 
-def _depths(route: Route) -> tuple[dict[CanonicalKey, int], list[str]]:
+def _depths(
+    reactions: tuple[Reaction, ...], producers: dict[CanonicalKey, Reaction]
+) -> tuple[dict[CanonicalKey, int], tuple[str, ...]]:
     """One depth-first walk of the precursor->product graph, from each
     product in reaction order. Returns the depth in reaction steps of each
     molecule reached (0 for a leaf) and the keys on the first cycle met, if
     any; the walk stops there, and then the depths are not to be used."""
-    producers = route.producer_of()
 
     def precursor_keys(key: CanonicalKey):
         reaction = producers.get(key)
         return iter(reaction.precursor_keys() if reaction is not None else ())
 
     depth: dict[CanonicalKey, int] = {}  # -1 while the key is on the trail
-    for reaction in route.reactions:
+    for reaction in reactions:
         start = reaction.product_key
         if start in depth:
             continue
@@ -311,19 +312,15 @@ def _depths(route: Route) -> tuple[dict[CanonicalKey, int], list[str]]:
                 pending.append(precursor_keys(child))
                 deepest.append(-1)
             elif seen < 0:
-                return depth, [k.key for k in trail[trail.index(child):]]
+                return depth, tuple(k.key for k in trail[trail.index(child):])
             elif seen > deepest[-1]:
                 deepest[-1] = seen
-    return depth, []
+    return depth, ()
 
 
 def validate_route(route: Route, stock: StockSet) -> ValidationReport:
     """Check the three structural route properties against a stock set."""
     target_key = route.target_key
-    produced_counts: dict[CanonicalKey, int] = {}
-    for reaction in route.reactions:
-        key = reaction.product_key
-        produced_counts[key] = produced_counts.get(key, 0) + 1
     consumed: set[CanonicalKey] = set()
     for reaction in route.reactions:
         consumed.update(reaction.precursor_keys())
@@ -333,17 +330,14 @@ def validate_route(route: Route, stock: StockSet) -> ValidationReport:
     convergence_offenders: list[str] = []
     if target_key in consumed:
         convergence_offenders.append(target_key.key)
-    if route.reactions and target_key not in produced_counts:
+    if route.reactions and target_key not in route.producers:
         convergence_offenders.append(target_key.key)
-    for key in produced_counts:
+    for key in route.producers:
         if key != target_key and key not in consumed:
             convergence_offenders.append(key.key)
 
     # Stepwise linkage: exactly one producer per non-leaf, and no cycles.
-    stepwise_offenders = [
-        key.key for key, count in produced_counts.items() if count > 1
-    ]
-    stepwise_offenders.extend(_depths(route)[1])
+    stepwise_offenders = [key.key for key in route.made_twice] + list(route.cycle)
 
     grounding_offenders = [key.key for key in route.stock_refs if key not in stock.keys]
 
@@ -391,16 +385,12 @@ def to_tree(route: Route) -> RouteTree:
     """Decouple convergent intermediates by duplicating every occurrence
     beyond the first. Raises CycleError on cyclic routes and RouteError when
     a molecule has more than one producing reaction."""
-    _, cycle = _depths(route)
-    if cycle:
-        raise CycleError(f"route contains a cycle through {cycle}")
-    producers = route.producer_of()
-    counts = Counter(r.product_key for r in route.reactions)
-    for key, count in counts.items():
-        if count > 1:
-            raise RouteError(
-                f"molecule {key.key} has more than one producing reaction"
-            )
+    if route.cycle:
+        raise CycleError(f"route contains a cycle through {list(route.cycle)}")
+    if route.made_twice:
+        raise RouteError(
+            f"molecule {route.made_twice[0].key} has more than one producing reaction"
+        )
 
     # Preorder with an explicit stack: a node's id is its position in
     # `preorder`, and it joins its parent's children when it is taken.
@@ -410,7 +400,7 @@ def to_tree(route: Route) -> RouteTree:
     while stack:
         molecule, depth, parent = stack.pop()
         key = canonical_key(molecule)
-        node = RouteNode(len(preorder), molecule, producers.get(key), (), depth)
+        node = RouteNode(len(preorder), molecule, route.producers.get(key), (), depth)
         preorder.append(node)
         occurrences.setdefault(key, []).append(node)
         if parent is not None:
@@ -457,10 +447,9 @@ def route_depth(route: Route) -> int:
     """Longest leaf-to-target distance in reaction steps. Raises CycleError
     when a molecule is its own precursor, directly or through others, also
     on a cycle the target does not reach."""
-    depth, cycle = _depths(route)
-    if cycle:
-        raise CycleError(f"route contains a cycle through {cycle}")
-    return depth.get(route.target_key, 0)
+    if route.cycle:
+        raise CycleError(f"route contains a cycle through {list(route.cycle)}")
+    return route.depth
 
 
 # ---------------------------------------------------------------------------

@@ -8,14 +8,18 @@ hold. Everything else passes within its stated budget.
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import json
 import math
 import random
+import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import golden
+import retroroute
 from generators import rand_dataset, rand_molecule, rand_route_record
 from isomorphism import is_isomorphic
 from retroroute.align import align_route, default_root, render_sequence
@@ -432,3 +436,21 @@ def test_pipeline_outputs_are_deterministic(tmp_path):
         return digest.digest()
 
     assert run("first") == run("second")
+
+
+def test_toolkit_imports_only_the_standard_library():
+    package = Path(retroroute.__file__).parent
+    modules = sorted(package.glob("*.py"))
+    assert modules
+    for module in modules:
+        tree = ast.parse(module.read_text(encoding="utf-8"), str(module))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top in sys.stdlib_module_names or top == "retroroute", (module.name, name)

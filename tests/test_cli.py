@@ -24,8 +24,9 @@ import golden
 import retroroute.cli
 from generators import rand_dataset
 from retroroute.align import align_route, default_root, render_sequence
-from retroroute.cli import main
+from retroroute.cli import PipelineConfig, load_config, main
 from retroroute.evaluate import depth_bucket
+from retroroute.reward import RewardConfig
 from retroroute.routes import ingest_dataset, linearize_nodes, to_tree, write_dataset
 from retroroute.smiles import canonical_key
 from test_evaluate import oracle_levenshtein
@@ -749,6 +750,37 @@ def test_bad_config_exits_two(work, tmp_path, capsys, payload, needle):
     err = capsys.readouterr().err
     assert needle in err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_config_file_sets_the_keys_it_names_and_no_others(work, tmp_path):
+    empty = tmp_path / "empty.json"
+    empty.write_text("{}", encoding="utf-8")
+    assert load_config(empty) == PipelineConfig()
+    reward = {
+        "format_score": 0.25, "exact_weight": 3.0, "similarity_weight": 0.75,
+        "invalid_weight": 0.2, "depth_weight": 0.3, "invalid_cap": 2, "depth_cap": 5,
+    }
+    full = tmp_path / "full.json"
+    full.write_text(
+        json.dumps(
+            {
+                "dataset": work.dataset, "stock": work.stock, "reward": reward,
+                "fold": 3, "seed": 9, "kmax": 2, "delimiters": ["<a>", "</a>"],
+                "workers": 4, "strict_delimiters": True,
+            }
+        ),
+        encoding="utf-8",
+    )
+    assert load_config(full) == PipelineConfig(
+        dataset=work.dataset,
+        stock=work.stock,
+        reward=RewardConfig(**reward, strict_format=True),
+        fold=3,
+        seed=9,
+        kmax=2,
+        delimiters=("<a>", "</a>"),
+        workers=4,
+    )
 
 
 def test_fold_flag_must_be_positive(work, tmp_path, capsys):

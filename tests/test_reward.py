@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from generators import rand_dataset, rand_route_record
-from retroroute import reward, smiles
+from retroroute import reward, routes, smiles
 from retroroute.align import align_route, render_sequence
 from retroroute.cli import main
 from retroroute.errors import ConfigError, DomainError
@@ -216,6 +216,21 @@ def test_each_text_is_parsed_once_per_plan(monkeypatch):
     texts.clear()
     assert parse_plan(text, mol("CCO")).parsed_route.stock_refs == keys_of("O", "C")
     assert len(texts) == 5  # the per-plan dict dies with the call
+
+
+def test_a_plan_is_walked_once_from_parse_to_score(monkeypatch):
+    walks = []
+    depths = routes._depths
+
+    def counting(*args):
+        walks.append(args)
+        return depths(*args)
+
+    monkeypatch.setattr(routes, "_depths", counting)
+    plan = parse_plan(wrapped("CCCO>>CCC=O", "CCC=O>>CCC.O=O"), mol("CCCO"))
+    result = score_plan(plan, [keys_of("CCC", "O=O")], ref_depth=1)
+    assert result.exact and result.depth_excess == 1
+    assert len(walks) == 1
 
 
 def test_score_output_is_the_same_with_the_key_table_cold_or_warm(tmp_path, capsys):

@@ -9,7 +9,7 @@ import pytest
 
 import golden
 from generators import rand_route_record
-from retroroute.errors import CycleError, SchemaError
+from retroroute.errors import CycleError, RouteError, SchemaError
 from retroroute.routes import (
     Reaction,
     Route,
@@ -56,21 +56,18 @@ def test_reaction_map_from_map_numbers():
         mol("[CH3:1][C:2](=[O:3])[OH:4]"),
         (mol("[CH3:1][C:2](=[O:3])Cl"), mol("[OH2:4]")),
     )
-    assert r.atom_map == {(0, 0): 0, (0, 1): 1, (0, 2): 2, (1, 0): 3}
-    assert r.map_for_precursor(0) == {0: 0, 1: 1, 2: 2}
-    assert r.map_for_precursor(1) == {0: 3}
+    assert r.maps == ({0: 0, 1: 1, 2: 2}, {0: 3})
 
 
 def test_reaction_unmapped_atoms_absent():
     r = rxn("CCO", "CC=O")
-    assert r.atom_map == {}
-    assert r.map_for_precursor(0) == {}
+    assert r.maps == ({},)
 
 
 def test_reaction_precursor_map_without_product_counterpart():
     # Map numbers present only on the precursor side stay unmapped.
     r = Reaction.from_molecules(mol("CCO"), (mol("[CH3:5]C=O"),))
-    assert r.atom_map == {}
+    assert r.maps == ({},)
 
 
 def test_reaction_duplicate_map_numbers_rejected():
@@ -82,7 +79,7 @@ def test_reaction_duplicate_map_numbers_rejected():
 
 def test_reaction_needs_a_precursor():
     with pytest.raises(ValueError):
-        Reaction(mol("CCO"), (), {})
+        Reaction(mol("CCO"), (), ())
 
 
 def test_reaction_keys():
@@ -107,11 +104,17 @@ def test_route_without_reactions_is_its_own_leaf():
     assert r.stock_refs == frozenset({key("CCO")})
 
 
-def test_producer_of_keeps_first():
+def test_build_keeps_first_producer_and_analyses_the_route():
     first = rxn("CCO", "CC=O")
     second = rxn("CCO", "CCBr")
-    r = Route(mol("CCO"), (first, second), frozenset())
-    assert r.producer_of()[key("CCO")] is first
+    r = route("CCO", first, second, rxn("CC=O", "C=C"))
+    assert r.producers == {key("CCO"): first, key("CC=O"): r.reactions[2]}
+    assert r.made_twice == (key("CCO"),)
+    assert r.cycle == ()
+    assert r.depth == 2
+    cyclic = route("CCO", rxn("CCO", "CC=O"), rxn("CC=O", "CCO"))
+    assert set(cyclic.cycle) == {key("CCO").key, key("CC=O").key}
+    assert cyclic.made_twice == ()
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +267,23 @@ def test_tree_rejects_cycles_and_duplicate_producers():
     doubled = Route.build(mol("CCO"), (rxn("CCO", "CC=O"), rxn("CCO", "CCBr")))
     with pytest.raises(ValueError):
         to_tree(doubled)
+
+
+def test_first_molecule_made_twice_is_named_and_all_are_listed():
+    # CCO's first producer comes first; CCCO sorts first and is seen made
+    # twice first, so neither ordering may stand in for reaction order.
+    r = route(
+        "CCO",
+        rxn("CCO", "CC=O"),
+        rxn("CCCO", "CCC=O"),
+        rxn("CCCO", "CCCBr"),
+        rxn("CCO", "CCBr"),
+    )
+    with pytest.raises(RouteError) as raised:
+        to_tree(r)
+    assert str(raised.value) == f"molecule {key('CCO').key} has more than one producing reaction"
+    report = validate_route(r, stock_of("CC=O", "CCC=O", "CCCBr", "CCBr"))
+    assert report.stepwise_linkage.offenders == tuple(sorted([key("CCO").key, key("CCCO").key]))
 
 
 def test_linearize_main_chain_before_branches():

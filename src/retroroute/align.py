@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import MissingRootError
 from .routes import RouteNode, RouteTree, linearize_nodes
 from .smiles import Molecule, RootedWriter, canonical_ranks, corresponding_atom
 
@@ -67,8 +66,6 @@ def align_route(
 
     def render(node: RouteNode) -> list[RouteNode]:
         """Append the node's step; return its children in aligned order."""
-        if node.node_id not in root_map:
-            raise MissingRootError(f"no root assigned to tree node {node.node_id}")
         reaction = node.reaction
         product = reaction.product
         product_root = root_map[node.node_id]

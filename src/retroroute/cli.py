@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -157,6 +156,9 @@ def _dumps(obj) -> str:
 def _map_ordered(worker, tasks: list, workers: int) -> list:
     if workers <= 1 or len(tasks) <= 1:
         return [worker(task) for task in tasks]
+    # Imported here, so a run with one worker never loads multiprocessing.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as executor:
         chunk = max(1, len(tasks) // (workers * 4))
         return list(executor.map(worker, tasks, chunksize=chunk))

@@ -21,7 +21,8 @@ class CycleError(RouteError):
 
 
 class MissingRootError(KeyError):
-    """A non-leaf product was rendered before its root was inherited."""
+    """A non-leaf product was rendered before its root was inherited. Kept
+    for callers that catch it; nothing in the toolkit raises it."""
 
 
 class ConfigError(ValueError):

@@ -17,6 +17,10 @@ only, never molecules; it grows by one entry per distinct component text the
 process reads and keys, and is never cleared. Hand-built Molecules neither
 read nor fill it. Each pool worker has its own copy.
 
+Shared atoms and counts: each bare organic-subset token (C, c, Cl, ...)
+parses to one frozen Atom shared by every molecule. Each atom's bond sum and
+hydrogen counts are set when a Molecule is built, parsed or by hand.
+
 Bracket table: a second process-wide dict, from the body of a bracket atom
 (the text between [ and ]) to the frozen Atom it parses to, so each distinct
 body runs the bracket pattern once per process. Only bodies that parse are
@@ -119,6 +123,26 @@ class Atom:
     chirality: str | None = None
 
 
+# Each bare organic-subset token's shared Atom; see the module docstring.
+_BARE_ATOMS = {symbol: Atom(symbol) for symbol in ORGANIC_SUBSET} | {
+    symbol.lower(): Atom(symbol, aromatic=True) for symbol in "BCNOPS"
+}
+
+
+def _implicit_hydrogens(atom: Atom, sigma: int) -> int:
+    """Hydrogen count a bare rendering of `atom` with bond sum `sigma` implies."""
+    if atom.aromatic:
+        # One ring bond's worth of valence is absorbed by the pi system
+        # for carbon and boron; bare aromatic heteroatoms carry no H.
+        if atom.element in ("C", "B"):
+            return max(0, 3 - sigma)
+        return 0
+    for valence in _NORMAL_VALENCES.get(atom.element, ()):
+        if valence >= sigma:
+            return valence - sigma
+    return 0
+
+
 @dataclass(frozen=True)
 class Bond:
     a: int
@@ -132,7 +156,8 @@ class Bond:
 
 @dataclass(eq=False)
 class Molecule:
-    """One connected molecular graph. Atom order follows the source token order."""
+    """One connected molecular graph. Atom order follows the source token order.
+    Each atom's bond sum and hydrogen counts are set once, when it is built."""
 
     atoms: tuple[Atom, ...]
     bonds: tuple[Bond, ...]
@@ -144,6 +169,20 @@ class Molecule:
     _key: "CanonicalKey | None" = field(default=None, repr=False, compare=False)
     # Set by parse_smiles only: the key of source_text may enter the key table.
     _from_text: bool = field(default=False, repr=False, compare=False)
+    _bond_sums: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _implicit: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _effective: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        sums = [0] * len(self.atoms)
+        for bond in self.bonds:
+            share = 1 if bond.order == AROMATIC else BOND_CODE[bond.order]
+            sums[bond.a] += share
+            sums[bond.b] += share
+        self._bond_sums = tuple(sums)
+        self._implicit = tuple(map(_implicit_hydrogens, self.atoms, sums))
+        pinned = [a.explicit_hydrogens for a in self.atoms]
+        self._effective = tuple([h if p is None else p for p, h in zip(pinned, self._implicit)])
 
     def __len__(self) -> int:
         return len(self.atoms)
@@ -163,26 +202,10 @@ class Molecule:
 
     def implicit_hydrogens(self, i: int) -> int:
         """Hydrogen count a bare rendering of atom i would imply."""
-        atom = self.atoms[i]
-        sigma = 0
-        for bond in self.adjacency[i]:
-            sigma += 1 if bond.order == AROMATIC else BOND_CODE[bond.order]
-        if atom.aromatic:
-            # One ring bond's worth of valence is absorbed by the pi system
-            # for carbon and boron; bare aromatic heteroatoms carry no H.
-            if atom.element in ("C", "B"):
-                return max(0, 3 - sigma)
-            return 0
-        for valence in _NORMAL_VALENCES.get(atom.element, ()):
-            if valence >= sigma:
-                return valence - sigma
-        return 0
+        return self._implicit[i]
 
     def effective_hydrogens(self, i: int) -> int:
-        atom = self.atoms[i]
-        if atom.explicit_hydrogens is not None:
-            return atom.explicit_hydrogens
-        return self.implicit_hydrogens(i)
+        return self._effective[i]
 
     def heavy_atom_indices(self) -> list[int]:
         return [i for i, a in enumerate(self.atoms) if a.element != "H"]
@@ -276,6 +299,7 @@ def parse_smiles(text: str) -> list[Molecule]:
     closures: list[int] = []  # ring-closure bonds
     branch_stack: list[int] = []
     open_rings: dict[int, tuple[int, str | None]] = {}
+    bonded: set[tuple[int, int]] = set()  # (lower, higher) atom index of each bond
     previous: int | None = None
     pending_bond: str | None = None
     component_start = 0
@@ -286,7 +310,7 @@ def parse_smiles(text: str) -> list[Molecule]:
         return Bond(i, j, _BOND_CHAR[symbol], symbol if symbol in "/\\" else None)
 
     def close_component(end: int) -> None:
-        nonlocal atoms, bonds, aromatic_chain, closures, previous
+        nonlocal atoms, bonds, aromatic_chain, closures, bonded, previous
         if branch_stack:
             raise SmilesSyntaxError("unclosed branch")
         if open_rings:
@@ -301,7 +325,7 @@ def parse_smiles(text: str) -> list[Molecule]:
         molecules.append(
             Molecule(tuple(atoms), tuple(bonds), source, _key=_KEYS.get(source), _from_text=True)
         )
-        atoms, bonds, aromatic_chain, closures = [], [], [], []
+        atoms, bonds, aromatic_chain, closures, bonded = [], [], [], [], set()
         previous = None
 
     def add_atom(atom: Atom) -> None:
@@ -313,6 +337,7 @@ def parse_smiles(text: str) -> list[Molecule]:
             if bond.order == AROMATIC and atoms[previous].aromatic and atom.aromatic:
                 aromatic_chain.append(len(bonds))
             bonds.append(bond)
+            bonded.add((previous, index))
         elif pending_bond is not None:
             raise SmilesSyntaxError("bond symbol before first atom of a component")
         pending_bond = None
@@ -332,8 +357,10 @@ def parse_smiles(text: str) -> list[Molecule]:
             symbol = sym_close if sym_close is not None else sym_open
             if other == previous:
                 raise SmilesSyntaxError(f"ring closure {number} bonds an atom to itself")
-            if any({b.a, b.b} == {other, previous} for b in bonds):
+            pair = (other, previous) if other < previous else (previous, other)
+            if pair in bonded:
                 raise SmilesSyntaxError(f"duplicate bond via ring closure {number}")
+            bonded.add(pair)
             closures.append(len(bonds))
             bonds.append(make_bond(other, previous, symbol))
         else:
@@ -344,6 +371,16 @@ def parse_smiles(text: str) -> list[Molecule]:
     length = len(text)
     while i < length:
         ch = text[i]
+        # Bare organic-subset atom; the two-character symbols start with B or C.
+        atom = _BARE_ATOMS.get(ch)
+        if atom is not None:
+            two = text[i : i + 2]
+            if two == "Cl" or two == "Br":
+                atom = _BARE_ATOMS[two]
+                i += 1
+            add_atom(atom)
+            i += 1
+            continue
         if ch == "*":
             raise SmilesSyntaxError(f"wildcard atom at position {i} is not supported")
         if ch == ".":
@@ -387,20 +424,6 @@ def parse_smiles(text: str) -> list[Molecule]:
                 raise SmilesSyntaxError(f"unterminated bracket at position {i}")
             add_atom(_parse_bracket(text[i + 1 : end], i))
             i = end + 1
-            continue
-        # Bare organic-subset atom; try the two-character symbols first.
-        two = text[i : i + 2]
-        if two in ("Cl", "Br"):
-            add_atom(Atom(element=two))
-            i += 2
-            continue
-        if ch in "BCNOPSFI":
-            add_atom(Atom(element=ch))
-            i += 1
-            continue
-        if ch in "bcnops":
-            add_atom(Atom(element=ch.upper(), aromatic=True))
-            i += 1
             continue
         raise SmilesSyntaxError(f"unexpected character {ch!r} at position {i}")
 
@@ -478,7 +501,7 @@ def canonical_ranks(m: Molecule) -> tuple[int, ...]:
             atom.isotope or 0,
             atom.aromatic,
             len(adjacency[i]),
-            m.effective_hydrogens(i),
+            m._effective[i],
         )
         by_seed.setdefault(seed, []).append(i)
     cells = [by_seed[seed] for seed in sorted(by_seed)]
@@ -520,8 +543,8 @@ def canonical_ranks(m: Molecule) -> tuple[int, ...]:
 
 def _atom_token(m: Molecule, i: int, include_maps: bool, include_stereo: bool) -> str:
     atom = m.atoms[i]
-    implicit = m.implicit_hydrogens(i)
-    effective = implicit if atom.explicit_hydrogens is None else atom.explicit_hydrogens
+    implicit = m._implicit[i]
+    effective = m._effective[i]
     bare_allowed = (
         atom.element in ORGANIC_SUBSET
         and atom.charge == 0
@@ -579,7 +602,8 @@ class RootedWriter:
     flags.
 
     The tables are built once: each atom's token, and each atom's neighbours
-    in ascending canonical-rank order as (other, bond index, bond token). The
+    in ascending canonical-rank order as (rank, other, bond index, bond
+    token), sorted as plain tuples since ranks are distinct. The
     text and atom order written from each root are kept, so asking for the
     same root again costs a lookup. Tables and texts live as long as the
     writer; nothing is stored on the Molecule beyond the canonical ranks and
@@ -589,13 +613,13 @@ class RootedWriter:
     def __init__(self, m: Molecule, *, include_maps: bool = False, include_stereo: bool = True):
         ranks = canonical_ranks(m)
         self._tokens = [_atom_token(m, i, include_maps, include_stereo) for i in range(len(m.atoms))]
-        neighbors: list[list[tuple[int, int, str]]] = [[] for _ in m.atoms]
+        neighbors: list[list[tuple[int, int, int, str]]] = [[] for _ in m.atoms]
         for k, bond in enumerate(m.bonds):
             token = _bond_token(m, bond, include_stereo)
-            neighbors[bond.a].append((bond.b, k, token))
-            neighbors[bond.b].append((bond.a, k, token))
+            neighbors[bond.a].append((ranks[bond.b], bond.b, k, token))
+            neighbors[bond.b].append((ranks[bond.a], bond.a, k, token))
         for row in neighbors:
-            row.sort(key=lambda entry: ranks[entry[0]])
+            row.sort()
         self._neighbors = neighbors
         self._n_bonds = len(m.bonds)
         self._written: dict[int, tuple[str, tuple[int, ...]]] = {}
@@ -629,7 +653,7 @@ class RootedWriter:
             current, cursor = stack[-1]
             row = neighbors[current]
             while cursor < len(row):
-                other, k, token = row[cursor]
+                _, other, k, token = row[cursor]
                 cursor += 1
                 if used[k]:
                     continue
@@ -743,16 +767,13 @@ def molecule_is_valid(m: Molecule) -> bool:
         allowed = _ALLOWED_VALENCES.get((atom.element, atom.charge))
         if allowed is None:
             continue
-        sigma = 0
-        for bond in m.adjacency[i]:
-            sigma += 1 if bond.order == AROMATIC else BOND_CODE[bond.order]
-        hydrogens = m.effective_hydrogens(i)
+        hydrogens = m._effective[i]
         pi = 0
         if atom.aromatic:
             if atom.element == "C":
                 pi = 1
             elif atom.element in ("N", "P", "As") and m.degree(i) + hydrogens == 2:
                 pi = 1
-        if sigma + hydrogens + pi not in allowed:
+        if m._bond_sums[i] + hydrogens + pi not in allowed:
             return False
     return True

@@ -12,8 +12,12 @@ import functools
 import io
 import json
 import operator
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -263,6 +267,17 @@ def test_align_worker_count_does_not_change_output(work, tmp_path):
     assert main(base + ["--workers", "1", "-o", str(serial)]) == 0
     assert main(base + ["--workers", "2", "-o", str(pooled)]) == 0
     assert serial.read_bytes() == pooled.read_bytes()
+
+
+def test_importing_the_cli_does_not_load_multiprocessing():
+    # Only runs with more than one worker import the process pool.
+    package_root = str(Path(retroroute.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": package_root}
+    code = "import sys, retroroute.cli; print('multiprocessing' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"
 
 
 def test_align_reads_config_and_flags_override_it(work, tmp_path):

@@ -180,6 +180,75 @@ def test_parse_rejects_malformed(text):
         parse_smiles(text)
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("C1C1", "duplicate bond via ring closure 1"),  # repeats a chain bond
+        ("C12CC12", "duplicate bond via ring closure 2"),  # repeats closure 1
+        ("C(C1)1", "duplicate bond via ring closure 1"),  # closes back onto its branch
+        ("C=1C-1", "conflicting bond symbols on ring closure 1"),
+        ("CC11", "ring closure 1 bonds an atom to itself"),
+    ],
+)
+def test_ring_closure_faults_keep_their_order_and_wording(text, message):
+    with pytest.raises(SmilesSyntaxError, match=f"^{re.escape(message)}$"):
+        parse_smiles(text)
+
+
+def test_bonded_pairs_are_per_component():
+    # Both components bond atoms 0 and 2 by a ring closure.
+    assert [len(m.bonds) for m in parse_smiles("C1CC1.C1CC1")] == [3, 3]
+
+
+def test_bare_atoms_are_shared_frozen_objects():
+    assert one("CC").atoms[0] is one("C").atoms[0] is one("CC").atoms[1]
+    assert one("c1ccccc1").atoms[0] is one("c").atoms[0]
+    assert one("CCl").atoms[1] is one("ClC").atoms[0]
+    assert one("[CH4]").atoms[0] is not one("C").atoms[0]
+    with pytest.raises(AttributeError):
+        one("C").atoms[0].charge = 1
+
+
+_VALENCES = {"B": (3,), "C": (4,), "N": (3, 5), "O": (2,), "P": (3, 5), "S": (2, 4, 6)}
+_VALENCES |= {halogen: (1,) for halogen in ("F", "Cl", "Br", "I")}
+
+
+def walked_counts(m: Molecule) -> list[tuple[int, int, int]]:
+    """(bond sum, implicit, effective hydrogens) of each atom, found by
+    walking every bond for every atom."""
+    rows = []
+    for i, atom in enumerate(m.atoms):
+        orders = [b.order for b in m.bonds if i in (b.a, b.b)]
+        sigma = sum({SINGLE: 1, DOUBLE: 2, TRIPLE: 3, AROMATIC: 1}[o] for o in orders)
+        if atom.aromatic:
+            implicit = max(0, 3 - sigma) if atom.element in ("B", "C") else 0
+        else:
+            implicit = next((v - sigma for v in _VALENCES.get(atom.element, ()) if v >= sigma), 0)
+        explicit = atom.explicit_hydrogens
+        rows.append((sigma, implicit, implicit if explicit is None else explicit))
+    return rows
+
+
+def test_counts_set_at_build_time_equal_a_walk_over_the_bonds():
+    molecules = [m for text in golden.all_box_smiles() + DECORATED for m in parse_smiles(text)]
+    rng = random.Random(11)
+    for _ in range(100):
+        m = rand_molecule(rng, max_atoms=16)
+        molecules += [m, decorate(m, rng), one(rand_smiles(rng))]
+    # Hand-built: hexavalent S, a pinned-H cation, an aromatic boron ring.
+    atoms = (Atom("S"), Atom("O"), Atom("O"), Atom("C"), Atom("N", charge=1, explicit_hydrogens=3))
+    bonds = (Bond(0, 1, DOUBLE), Bond(0, 2, DOUBLE), Bond(0, 3, SINGLE), Bond(3, 4, SINGLE))
+    molecules.append(Molecule(atoms, bonds))
+    ring = (Atom("B", aromatic=True),) + tuple(Atom("C", aromatic=True) for _ in range(4))
+    molecules.append(Molecule(ring, tuple(Bond(i, (i + 1) % 5, AROMATIC) for i in range(5))))
+    for m in molecules:
+        counts = [
+            (m._bond_sums[i], m.implicit_hydrogens(i), m.effective_hydrogens(i))
+            for i in range(len(m.atoms))
+        ]
+        assert counts == walked_counts(m), m.source_text
+
+
 def test_parse_accepts_fused_closures():
     m = one("C12CC1C2C")
     assert len(m.bonds) == 6

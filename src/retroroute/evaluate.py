@@ -131,7 +131,7 @@ def levenshtein(a: str, b: str) -> int:
 def nld_profile(lines: Sequence[str]) -> list[tuple[int, float]]:
     """Per-step normalized edit distance between the first product (the
     target as written) and each step's full precursor side, over rendered
-    `product>>precursors` lines."""
+    `product>>precursors` lines. Two empty sides count as identical (0.0)."""
     parts = [line.partition(">>") for line in lines]
     if not parts:
         return []
@@ -139,5 +139,5 @@ def nld_profile(lines: Sequence[str]) -> list[tuple[int, float]]:
     profile: list[tuple[int, float]] = []
     for k, (_, _, rhs) in enumerate(parts, start=1):
         denominator = max(len(target_text), len(rhs))
-        profile.append((k, levenshtein(target_text, rhs) / denominator))
+        profile.append((k, levenshtein(target_text, rhs) / denominator if denominator else 0.0))
     return profile

@@ -6,7 +6,8 @@ symbols - = # : / \\. Aromaticity is taken as written (lowercase atoms),
 never re-perceived, and nothing is kekulized, except that an aromatic bond
 between two aromatic atoms that lies on no ring (the unwritten ring-to-ring
 bond of c1ccccc1c1ccccc1) is read as single. Stereo marks are carried through
-verbatim but take no part in ranking or keys.
+verbatim but take no part in ranking or keys. Only 0-9 are digits: in ring
+closures, %nn, isotopes, hydrogen counts, charges and map numbers.
 
 Key table: the module keeps one process-wide dict from the exact text of a
 component that parse_smiles read to the CanonicalKey that canonical_key
@@ -21,7 +22,15 @@ Shared atoms and counts: each bare organic-subset token (C, c, Cl, ...)
 parses to one frozen Atom shared by every molecule. Each atom's bond sum and
 hydrogen counts are set when a Molecule is built, parsed or by hand.
 
-Bracket table: a second process-wide dict, from the body of a bracket atom
+Bond table: a process-wide dict from (a, b, order, direction) to the frozen
+Bond parse_smiles gives every bond with those fields, so a parse allocates no
+Bond it has built before. It grows by one entry per distinct tuple the
+process parses (bounded by the atom index pairs its texts bond, a few
+thousand for a reward round) and is never cleared. Bonds are equal by value
+whether shared or built by hand; dataclasses.replace on one builds a new
+Bond. Each pool worker has its own copy.
+
+Bracket table: another process-wide dict, from the body of a bracket atom
 (the text between [ and ]) to the frozen Atom it parses to, so each distinct
 body runs the bracket pattern once per process. Only bodies that parse are
 kept; it grows by one entry per distinct body and is never cleared.
@@ -154,6 +163,18 @@ class Bond:
         return self.b if i == self.a else self.a
 
 
+# (a, b, order, direction) -> the shared Bond parse_smiles gives it; see the
+# module docstring.
+_BONDS: dict[tuple[int, int, str, str | None], Bond] = {}
+
+
+def _shared_bond(key: tuple[int, int, str, str | None]) -> Bond:
+    bond = _BONDS.get(key)
+    if bond is None:
+        bond = _BONDS[key] = Bond(*key)
+    return bond
+
+
 @dataclass(eq=False)
 class Molecule:
     """One connected molecular graph. Atom order follows the source token order.
@@ -229,13 +250,16 @@ _KEYS: dict[str, CanonicalKey] = {}
 # Parsing
 # ---------------------------------------------------------------------------
 
+# Only ASCII digits are SMILES digits: \d and str.isdigit also take other
+# Unicode digits, which int() reads or rejects.
+_DIGITS = frozenset("0123456789")
 _BRACKET_RE = re.compile(
-    r"(?P<isotope>\d+)?"
+    r"(?P<isotope>[0-9]+)?"
     r"(?P<symbol>[A-Z][a-z]?|[a-z][a-z]?)"
     r"(?P<chirality>@@|@)?"
-    r"(?P<hcount>H\d*)?"
-    r"(?P<charge>\+\d+|-\d+|\++|-+)?"
-    r"(?::(?P<map>\d+))?$"
+    r"(?P<hcount>H[0-9]*)?"
+    r"(?P<charge>\+[0-9]+|-[0-9]+|\++|-+)?"
+    r"(?::(?P<map>[0-9]+))?"
 )
 
 
@@ -247,7 +271,7 @@ def _parse_bracket(body: str, position: int) -> Atom:
     atom = _BRACKETS.get(body)
     if atom is not None:
         return atom
-    match = _BRACKET_RE.match(body)
+    match = _BRACKET_RE.fullmatch(body)
     if not match:
         raise SmilesSyntaxError(f"bad bracket atom [{body}] at position {position}")
     symbol = match.group("symbol")
@@ -299,18 +323,21 @@ def parse_smiles(text: str) -> list[Molecule]:
     closures: list[int] = []  # ring-closure bonds
     branch_stack: list[int] = []
     open_rings: dict[int, tuple[int, str | None]] = {}
-    bonded: set[tuple[int, int]] = set()  # (lower, higher) atom index of each bond
+    parents: list[int | None] = []  # each atom's chain-bonded atom before it, if any
+    closed: set[tuple[int, int]] = set()  # (lower, higher) atoms of each ring closure
     previous: int | None = None
     pending_bond: str | None = None
     component_start = 0
 
     def make_bond(i: int, j: int, symbol: str | None) -> Bond:
         if symbol is None:
-            return Bond(i, j, AROMATIC if atoms[i].aromatic and atoms[j].aromatic else SINGLE)
-        return Bond(i, j, _BOND_CHAR[symbol], symbol if symbol in "/\\" else None)
+            key = (i, j, AROMATIC if atoms[i].aromatic and atoms[j].aromatic else SINGLE, None)
+        else:
+            key = (i, j, _BOND_CHAR[symbol], symbol if symbol in "/\\" else None)
+        return _shared_bond(key)
 
     def close_component(end: int) -> None:
-        nonlocal atoms, bonds, aromatic_chain, closures, bonded, previous
+        nonlocal atoms, bonds, aromatic_chain, closures, parents, closed, previous
         if branch_stack:
             raise SmilesSyntaxError("unclosed branch")
         if open_rings:
@@ -320,24 +347,24 @@ def parse_smiles(text: str) -> list[Molecule]:
         if not atoms:
             raise SmilesSyntaxError("empty component")
         if aromatic_chain:
-            _demote_aromatic_bridges(len(atoms), bonds, aromatic_chain, closures)
+            _demote_aromatic_bridges(bonds, parents, aromatic_chain, closures)
         source = text[component_start:end]
         molecules.append(
             Molecule(tuple(atoms), tuple(bonds), source, _key=_KEYS.get(source), _from_text=True)
         )
-        atoms, bonds, aromatic_chain, closures, bonded = [], [], [], [], set()
+        atoms, bonds, aromatic_chain, closures, parents, closed = [], [], [], [], [], set()
         previous = None
 
     def add_atom(atom: Atom) -> None:
         nonlocal previous, pending_bond
         atoms.append(atom)
+        parents.append(previous)
         index = len(atoms) - 1
         if previous is not None:
             bond = make_bond(previous, index, pending_bond)
             if bond.order == AROMATIC and atoms[previous].aromatic and atom.aromatic:
                 aromatic_chain.append(len(bonds))
             bonds.append(bond)
-            bonded.add((previous, index))
         elif pending_bond is not None:
             raise SmilesSyntaxError("bond symbol before first atom of a component")
         pending_bond = None
@@ -358,9 +385,9 @@ def parse_smiles(text: str) -> list[Molecule]:
             if other == previous:
                 raise SmilesSyntaxError(f"ring closure {number} bonds an atom to itself")
             pair = (other, previous) if other < previous else (previous, other)
-            if pair in bonded:
+            if parents[pair[1]] == pair[0] or pair in closed:
                 raise SmilesSyntaxError(f"duplicate bond via ring closure {number}")
-            bonded.add(pair)
+            closed.add(pair)
             closures.append(len(bonds))
             bonds.append(make_bond(other, previous, symbol))
         else:
@@ -408,12 +435,12 @@ def parse_smiles(text: str) -> list[Molecule]:
             pending_bond = ch
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             ring_closure(int(ch), i)
             i += 1
             continue
         if ch == "%":
-            if i + 2 >= length + 1 or not text[i + 1 : i + 3].isdigit():
+            if text[i + 1 : i + 2] not in _DIGITS or text[i + 2 : i + 3] not in _DIGITS:
                 raise SmilesSyntaxError(f"bad %nn ring closure at position {i}")
             ring_closure(int(text[i + 1 : i + 3]), i)
             i += 3
@@ -432,33 +459,36 @@ def parse_smiles(text: str) -> list[Molecule]:
 
 
 def _demote_aromatic_bridges(
-    n: int, bonds: list[Bond], candidates: list[int], closures: list[int]
+    bonds: list[Bond], parents: list[int | None], candidates: list[int], closures: list[int]
 ) -> None:
     """Make each candidate chain bond that lies on no ring single, in place.
 
-    The chain bonds (all but the ring closures) form a spanning tree whose
-    atoms are numbered in preorder, so the subtree under atom x is the index
-    range [x, end[x]). The chain bond into x lies on a ring exactly when some
-    ring-closure bond has one end inside that range and one outside: linear
-    time, one pass from the last atom back to the first.
+    Without ring closures every bond is a bridge, so every candidate is
+    demoted at once. Otherwise the chain bonds (parents[x] to x) form a
+    spanning tree whose atoms are numbered in preorder, so the subtree under
+    atom x is the index range [x, end[x]). The chain bond into x lies on a
+    ring exactly when some ring-closure bond has one end inside that range
+    and one outside: one pass from the last atom back to the first
+    candidate's, with plain comparisons rather than a min/max call per atom.
     """
-    parent = [0] * n
-    closure_set = set(closures)
-    for k, bond in enumerate(bonds):
-        if k not in closure_set:
-            parent[bond.b] = bond.a
-    low, high, end = list(range(n)), list(range(n)), list(range(1, n + 1))
-    for k in closures:
-        a, b = bonds[k].a, bonds[k].b
-        low[a], high[a] = min(low[a], b), max(high[a], b)
-        low[b], high[b] = min(low[b], a), max(high[b], a)
-    for x in range(n - 1, 0, -1):
-        p = parent[x]
-        low[p], high[p], end[p] = min(low[p], low[x]), max(high[p], high[x]), max(end[p], end[x])
+    if closures:
+        n = len(parents)
+        low, high, end = list(range(n)), list(range(n)), list(range(1, n + 1))
+        for k in closures:
+            a, b = bonds[k].a, bonds[k].b
+            low[a], high[a] = min(low[a], b), max(high[a], b)
+            low[b], high[b] = min(low[b], a), max(high[b], a)
+        for x in range(n - 1, bonds[candidates[0]].b, -1):
+            p = parents[x]
+            if low[x] < low[p]:
+                low[p] = low[x]
+            if high[x] > high[p]:
+                high[p] = high[x]
+            if end[x] > end[p]:
+                end[p] = end[x]
+        candidates = [k for k in candidates if low[x := bonds[k].b] >= x and high[x] < end[x]]
     for k in candidates:
-        x = bonds[k].b
-        if low[x] >= x and high[x] < end[x]:
-            bonds[k] = Bond(bonds[k].a, x, SINGLE)
+        bonds[k] = _shared_bond((bonds[k].a, bonds[k].b, SINGLE, None))
 
 
 # ---------------------------------------------------------------------------

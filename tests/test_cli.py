@@ -893,3 +893,25 @@ def test_any_text_in_a_smiles_field_exits_cleanly(field_dir, field, text):
             line = err.getvalue()
             named = "|".join(p.format(rows=re.escape(rows.get(command, ""))) for p in patterns)
             assert line.count("\n") == 1 and re.match(f"error: (?:{named})", line), (command, line)
+
+
+def test_score_counts_a_non_ascii_digit_as_a_syntax_failure(tmp_path, capsys):
+    row = dict(_CLEAN_INPUTS["score"], plan_text=WRAP + "CCO>>C\u00b2.O")
+    plans = write_jsonl(tmp_path / "plans.jsonl", [row])
+    dataset = tmp_path / "dataset.json"
+    dataset.write_text(json.dumps([_CLEAN_INPUTS["dataset"]]), encoding="utf-8")
+    out = tmp_path / "scored.jsonl"
+    assert main(["score", plans, str(dataset), "-o", str(out)]) == 0
+    scored = json.loads(out.read_text(encoding="utf-8"))
+    assert scored["invalid_lines"] == 1 and scored["similarity"] == 0.5
+    assert capsys.readouterr().err == ""
+
+
+def test_ingest_of_a_target_with_a_non_ascii_digit_exits_two(tmp_path, capsys):
+    record = dict(_CLEAN_INPUTS["dataset"], target="C\u00b2")
+    dataset, stock = tmp_path / "dataset.json", tmp_path / "stock.smi"
+    dataset.write_text(json.dumps([record]), encoding="utf-8")
+    stock.write_text("\n".join(_CLEAN_INPUTS["stock"]) + "\n", encoding="utf-8")
+    assert main(["ingest", str(dataset), str(stock)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: record 0 target: "), err

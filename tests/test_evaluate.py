@@ -289,6 +289,12 @@ def test_nld_empty_sequence():
     assert nld_profile([]) == []
 
 
+def test_nld_of_two_empty_sides_is_zero():
+    # As jaccard counts two empty sets as identical.
+    assert nld_profile([">>"]) == [(1, 0.0)]
+    assert nld_profile([">>", ">>C"]) == [(1, 0.0), (2, 1.0)]
+
+
 def test_nld_uses_first_product_as_anchor():
     lines = ["CCO>>CC=O", "CC=O>>CC"]
     profile = nld_profile(lines)

@@ -7,7 +7,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from generators import rand_dataset, rand_route_record
@@ -18,6 +18,7 @@ from retroroute.errors import ConfigError, DomainError
 from retroroute.reward import (
     DEFAULT_DELIMITERS,
     GeneratedPlan,
+    PlanScore,
     RewardConfig,
     jaccard,
     parse_plan,
@@ -201,6 +202,14 @@ def test_repeated_bad_precursor_is_a_failure_on_each_line():
     assert plan.invalid_line_count == 2
 
 
+def test_non_ascii_digit_is_a_syntax_failure_on_its_line():
+    plan = parse_plan(wrapped("CCO>>C\u00b2.O"), mol("CCO"))
+    assert plan.parsed_route is not None
+    assert plan.parsed_route.stock_refs == keys_of("O")
+    assert [(f.line_number, f.kind) for f in plan.parse_failures] == [(2, "syntax")]
+    assert score_plan(plan, [keys_of("CC", "O")], ref_depth=1).invalid_lines == 1
+
+
 def test_each_text_is_parsed_once_per_plan(monkeypatch):
     texts = []
 
@@ -254,6 +263,51 @@ def test_score_output_is_the_same_with_the_key_table_cold_or_warm(tmp_path, caps
     assert outputs[0] == outputs[1]
     assert [json.loads(line)["total"] for line in outputs[0].splitlines()] == [2.0] * 8
     assert capsys.readouterr().out.count("mean_reward 2.0") == 2
+
+
+# ---------------------------------------------------------------------------
+# the reward is total
+# ---------------------------------------------------------------------------
+
+# SMILES characters, reaction and component separators, line breaks, and
+# digits that str.isdigit accepts but SMILES does not.
+_PLAN_TOKENS = list("CNOSBrcln[]()=#@+-:%/\\0123456789H") + [">>", ".", "\n", "\u00b2", "\u0663", "\u0661"]
+# Valid fragments: molecules spelled several ways, and one that breaks valence.
+_FRAGMENTS = ["CCO", "OCC", "CC=O", "O=CC", "CC", "O", "CCBr", "BrCC", "c1ccccc1", "C1CC1", "Cl(C)C"]
+_TOTAL_TARGET = mol("CCO")
+_TOTAL_REFERENCES = [keys_of("CCBr", "O")]
+
+
+def _assert_scored(text: str) -> None:
+    result = score_plan(parse_plan(text, _TOTAL_TARGET), _TOTAL_REFERENCES, ref_depth=1)
+    assert isinstance(result, PlanScore)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(st.sampled_from(_PLAN_TOKENS), max_size=60).map("".join))
+def test_any_plan_text_gets_a_score(text):
+    _assert_scored(text)
+
+
+_LINE = st.tuples(
+    st.sampled_from(_FRAGMENTS), st.lists(st.sampled_from(_FRAGMENTS), min_size=1, max_size=3)
+).map(lambda line: line[0] + ">>" + ".".join(line[1]))
+
+
+# A 2,000-step chain from the target, each step adding one more fragment
+# other than the target itself.
+_ROLLS = random.Random(12)
+_LONGEST = ["CCO>>[1999CH4].O"] + [
+    f"[{k + 1}CH4]>>[{k}CH4].{_ROLLS.choice(_FRAGMENTS[2:])}" for k in range(1998, -1, -1)
+]
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(st.lists(_LINE, max_size=2000), st.booleans())
+@example(_LONGEST, True)
+def test_long_plans_of_valid_fragments_get_a_score(lines, wrap):
+    text = "\n".join(lines)
+    _assert_scored(wrapped(text) if wrap else text)
 
 
 # ---------------------------------------------------------------------------

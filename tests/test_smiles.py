@@ -209,6 +209,47 @@ def test_bare_atoms_are_shared_frozen_objects():
         one("C").atoms[0].charge = 1
 
 
+def test_parsed_bonds_are_shared_frozen_objects():
+    assert one("CC").bonds[0] is one("CCO").bonds[0]
+    assert one("C/C=C/C").bonds[0] is not one("CC").bonds[0]
+    with pytest.raises(AttributeError):
+        one("CC").bonds[0].order = DOUBLE
+    # replace builds a new Bond and leaves the shared one as it was.
+    assert replace(one("CC").bonds[0], order=DOUBLE).order == DOUBLE
+    assert one("CC").bonds[0] == Bond(0, 1, SINGLE)
+
+
+def test_parsing_one_text_twice_gives_equal_bonds_in_order():
+    for text in golden.all_box_smiles() + ["c1ccccc1-c1ccccc1", "C/C=C\\C", "C1CC2CCC1C2", "cc"]:
+        first = [m.bonds for m in parse_smiles(text)]
+        second = [m.bonds for m in parse_smiles(text)]
+        assert first == second, text
+        assert [list(map(id, b)) for b in first] == [list(map(id, b)) for b in second], text
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [
+        ("C\u00b2", 1),  # superscript two
+        ("C%\u00b23", 1),
+        ("C\u0663CC\u0663", 1),  # Arabic-Indic three
+        ("[\u0661\u0662C]", 0),  # Arabic-Indic one two as an isotope
+        ("[C:\u0663]", 0),  # as a map number
+        ("[CH\u0662]", 0),
+        ("[C+\u0662]", 0),
+    ],
+)
+def test_only_ascii_digits_are_smiles_digits(text, position):
+    with pytest.raises(SmilesSyntaxError, match=f"position {position}"):
+        parse_smiles(text)
+
+
+def test_bracket_body_must_match_to_its_end():
+    # A regex '$' would also match before a final newline.
+    with pytest.raises(SmilesSyntaxError, match="bad bracket atom"):
+        parse_smiles("[C\n]")
+
+
 _VALENCES = {"B": (3,), "C": (4,), "N": (3, 5), "O": (2,), "P": (3, 5), "S": (2, 4, 6)}
 _VALENCES |= {halogen: (1,) for halogen in ("F", "Cl", "Br", "I")}
 
@@ -509,6 +550,30 @@ def test_ring_bonds_and_kekule_spellings_stay_as_written():
         assert all(b.order == AROMATIC for b in m.bonds if {b.a, b.b} <= _aromatic(m)), text
     assert canonical_key(one("C1=CC=CC=C1")) != canonical_key(one("c1ccccc1"))
     assert all(b.order in (SINGLE, DOUBLE) for b in one("C1=CC=CC=C1C1=CC=CC=C1").bonds)
+
+
+def test_aromatic_chain_bond_without_ring_closures_is_demoted():
+    assert [b.order for b in one("cc").bonds] == [SINGLE]
+    benzene, pair = parse_smiles("c1ccccc1.cc")
+    assert [b.order for b in benzene.bonds] == [AROMATIC] * 6
+    assert [b.order for b in pair.bonds] == [SINGLE]
+    assert [b.order for b in one("ccc").bonds] == [SINGLE, SINGLE]
+
+
+def test_ring_opened_in_a_branch_and_closed_after_it_stays_aromatic():
+    # Ring 2 opens on atom 1, inside the branch, and closes on atom 6 with
+    # ring 1, so the chain bond 0-1 into the branch lies on the ring 0-1-6.
+    m = one("c1(c2)ccccc12")
+    assert m.bonds[0] == Bond(0, 1, AROMATIC)
+    assert [b.order for b in m.bonds] == [AROMATIC] * 8
+
+
+def test_aromatic_chain_bond_after_every_ring_closure_is_demoted():
+    # The only candidate, 3-4, comes after the ring, so the backward pass
+    # over the atoms after it is empty.
+    m = one("C1CC1cc")
+    assert m.bonds == (Bond(0, 1, SINGLE), Bond(1, 2, SINGLE), Bond(0, 2, SINGLE),
+                       Bond(2, 3, SINGLE), Bond(3, 4, SINGLE))
 
 
 def _aromatic(m: Molecule) -> set[int]:

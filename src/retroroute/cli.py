@@ -252,15 +252,19 @@ def _score_worker(task: tuple) -> str:
 
 
 def cmd_score(args: argparse.Namespace, config: PipelineConfig) -> int:
-    dataset_path = _resolve_dataset(args, config)
     rows = read_rows(args.plans)
-    by_key = {record.route.target_key: record for record in ingest_dataset(dataset_path)}
+    by_key = None  # the dataset's records by target key, read for the first row that needs one
     targets: dict[str, Molecule] = {}  # each distinct target text parsed once
     tasks = []
     for index, (where, row) in enumerate(rows):
+        needs_record = "references" not in row or "ref_depth" not in row
+        if needs_record and by_key is None:
+            dataset = ingest_dataset(_resolve_dataset(args, config))
+            by_key = {record.route.target_key: record for record in dataset}
         plan_text = read_field(row, "plan_text", where, str)
-        record = by_key.get(read_target(row, where))
-        if record is None and ("references" not in row or "ref_depth" not in row):
+        target_key = read_target(row, where)
+        record = by_key.get(target_key) if needs_record else None
+        if needs_record and record is None:
             raise SchemaError(f"{where}: target not in dataset and no inline references")
         references = read_references(row, where) if "references" in row else record.references
         ref_depth = read_count(row, "ref_depth", where) if "ref_depth" in row else record.ref_depth

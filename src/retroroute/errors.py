@@ -20,11 +20,6 @@ class CycleError(RouteError):
     """A route's molecule graph contains a cycle."""
 
 
-class MissingRootError(KeyError):
-    """A non-leaf product was rendered before its root was inherited. Kept
-    for callers that catch it; nothing in the toolkit raises it."""
-
-
 class ConfigError(ValueError):
     """A configuration violates its invariants."""
 

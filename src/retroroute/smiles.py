@@ -35,6 +35,24 @@ Bracket table: another process-wide dict, from the body of a bracket atom
 body runs the bracket pattern once per process. Only bodies that parse are
 kept; it grows by one entry per distinct body and is never cleared.
 
+Shape table: a process-wide dict from the shape of a molecule's
+rank-labelled graph to its CanonicalKey, so canonical_key writes a molecule
+only the first time its shape is seen. A shape is one string holding the
+atom count; per atom, in rank order, a code for its element, aromatic flag,
+charge, isotope as written (None and 0 apart) and effective hydrogen count;
+and the sorted (lower rank, higher rank, bond order) triples. With map
+numbers and stereo off, the key's root (rank 0), each atom's neighbour order
+(by rank), the ring digits and the tokens read these fields and nothing else
+(implicit hydrogens follow from them and the bonds), so equal shapes give
+byte-equal keys for graphs that bond no pair of atoms twice, as parse_smiles
+guarantees. Map numbers, chirality and bond directions are left out, as the
+key strips them, so [CH3:1]C and CC share one entry. Parsed and hand-built
+molecules share the table. It grows by one entry per distinct ranked graph
+the process keys and is never cleared. The atom codes come from a companion
+dict of atom kinds in first-seen order, which grows by one entry per distinct
+kind and may only be cleared together with the shape table. Each pool worker
+has its own copy of both.
+
 Rooted writing: a RootedWriter builds the tables for one molecule and one
 pair of include flags and keeps each root's text; write_rooted is a one-shot
 writer. Writer state lives only as long as the writer; nothing of it is kept
@@ -244,6 +262,11 @@ class CanonicalKey(NamedTuple):
 
 # Exact component text -> key; see the module docstring.
 _KEYS: dict[str, CanonicalKey] = {}
+
+# Rank-labelled graph shape -> key, and each atom kind's code in shapes; see
+# the module docstring.
+_SHAPES: dict[str, CanonicalKey] = {}
+_ATOM_KINDS: dict[tuple[str, bool, int, int | None, int], int] = {}
 
 
 # ---------------------------------------------------------------------------
@@ -754,16 +777,46 @@ def write_rooted(
     return RootedWriter(m, include_maps=include_maps, include_stereo=include_stereo).write(root)
 
 
+def _shape(m: Molecule, ranks: tuple[int, ...]) -> str:
+    """Everything the key text of m reads, labelled by rank: the atom count,
+    each atom's kind code in rank order, then the sorted bonds as
+    (lower rank * n + higher rank) * 4 + bond code; as the repr of that list
+    of integers, which is compact and exact at any size."""
+    n = len(ranks)
+    values = [n] * (n + 1)
+    hydrogens = m._effective
+    for i, atom in enumerate(m.atoms):
+        kind = (atom.element, atom.aromatic, atom.charge, atom.isotope, hydrogens[i])
+        code = _ATOM_KINDS.get(kind)
+        if code is None:
+            code = _ATOM_KINDS[kind] = len(_ATOM_KINDS)
+        values[ranks[i] + 1] = code
+    n4 = n * 4
+    values += sorted(
+        [
+            x * n4 + y * 4 + BOND_CODE[bond.order]
+            if (x := ranks[bond.a]) < (y := ranks[bond.b])
+            else y * n4 + x * 4 + BOND_CODE[bond.order]
+            for bond in m.bonds
+        ]
+    )
+    return repr(values)
+
+
 def canonical_key(m: Molecule) -> CanonicalKey:
     """Canonical identifier: rooted rendering at the rank-0 atom, map numbers
-    and stereo marks stripped."""
+    and stereo marks stripped. A molecule whose rank-labelled graph was keyed
+    before in the process takes that key from the shape table unwritten."""
     if m._key is None:
         ranks = canonical_ranks(m)
-        root = ranks.index(0)
-        text, _ = write_rooted(m, root, include_maps=False, include_stereo=False)
-        m._key = CanonicalKey(text)
+        shape = _shape(m, ranks)
+        key = _SHAPES.get(shape)
+        if key is None:
+            text, _ = write_rooted(m, ranks.index(0), include_maps=False, include_stereo=False)
+            key = _SHAPES[shape] = CanonicalKey(text)
+        m._key = key
         if m._from_text:
-            _KEYS[m.source_text] = m._key
+            _KEYS[m.source_text] = key
     return m._key
 
 

@@ -17,7 +17,6 @@ from retroroute.align import (
     default_root,
     render_sequence,
 )
-from retroroute.errors import MissingRootError
 from retroroute.routes import Reaction, Route, to_tree
 from retroroute.smiles import (
     canonical_key,
@@ -154,11 +153,6 @@ def test_root_inheritance_is_byte_exact():
                 if k > 0:
                     assert step.product_text in seen
                 seen.update(step.precursor_texts)
-
-
-def test_missing_root_error_contract():
-    # Callers that treat the root map as a dict can catch KeyError.
-    assert issubclass(MissingRootError, KeyError)
 
 
 def test_align_requires_valid_target_root():

@@ -915,3 +915,30 @@ def test_ingest_of_a_target_with_a_non_ascii_digit_exits_two(tmp_path, capsys):
     assert main(["ingest", str(dataset), str(stock)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: record 0 target: "), err
+
+
+def test_score_reads_the_dataset_only_for_a_row_that_needs_it(work, tmp_path, capsys, monkeypatch):
+    read = []
+    real_ingest = retroroute.cli.ingest_dataset
+    monkeypatch.setattr(
+        retroroute.cli, "ingest_dataset", lambda path: read.append(path) or real_ingest(path)
+    )
+    missing = str(tmp_path / "no-such-dataset.json")
+    out = str(tmp_path / "scored.jsonl")
+    inline = write_jsonl(tmp_path / "inline.jsonl", [_SCORE, _SCORE])
+    assert main(["score", inline, missing, "-o", out]) == 0
+    assert main(["score", inline, "-o", out]) == 0
+    assert read == [] and capsys.readouterr().out == "mean_reward 2.0\nmean_reward 2.0\n"
+    # The first row without both inline fields reads the dataset, once.
+    lookup = {"target": work.records[0].raw["target"], "plan_text": perfect_plan(work.records[0])}
+    mixed = write_jsonl(tmp_path / "mixed.jsonl", [_SCORE, lookup, lookup])
+    assert main(["score", mixed, work.dataset, "-o", out]) == 0
+    assert read == [work.dataset] and capsys.readouterr().out == "mean_reward 2.0\n"
+    # Faults of a dataset a row needs keep their exit code and wording.
+    lookup_only = write_jsonl(tmp_path / "lookup.jsonl", [lookup])
+    for plans in (mixed, lookup_only):
+        assert main(["score", plans, missing, "-o", out]) == 2
+        assert main(["score", plans, "-o", out]) == 2
+    errors = capsys.readouterr().err.splitlines()
+    assert errors[:2] == errors[2:] and len(errors) == 4
+    assert missing in errors[0] and "no dataset given" in errors[1]

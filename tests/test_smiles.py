@@ -926,3 +926,73 @@ def test_hand_built_molecule_neither_reads_nor_poisons_the_table():
     canonical_key(other)
     assert "CCN" not in smiles._KEYS
     assert canonical_key(one("CCN")) != canonical_key(other)
+
+
+# ---------------------------------------------------------------------------
+# shape table
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def cold_tables():
+    smiles._KEYS.clear()
+    smiles._SHAPES.clear()
+    smiles._ATOM_KINDS.clear()
+
+
+def written_key(m: Molecule) -> str:
+    """The key text as written from scratch, bypassing both tables."""
+    root = canonical_ranks(m).index(0)
+    return write_rooted(m, root, include_maps=False, include_stereo=False)[0]
+
+
+def test_warm_shape_keys_equal_cold_written_keys(cold_tables):
+    molecules = [m for text in golden.all_box_smiles() + DECORATED for m in parse_smiles(text)]
+    rng = random.Random(1313)
+    for _ in range(150):
+        m = rand_molecule(rng, max_atoms=16)
+        molecules += [m, decorate(m, rng)]
+        molecules += [permuted(m, rng) for _ in range(5)]
+        for root in rng.sample(range(len(m.atoms)), min(3, len(m.atoms))):
+            molecules.append(one(write_rooted(m, root)[0]))
+    for m in molecules:
+        assert canonical_key(m).key == written_key(m)
+    assert len(smiles._SHAPES) < len(molecules)
+
+
+@pytest.mark.parametrize(
+    "texts",
+    [
+        ("CCC", "CC[0CH3]"),
+        ("C", "[C]", "[13CH4]", "[CH4]"),
+        ("N", "[NH4+]"),
+        ("C1CCCCC1", "c1ccccc1"),
+        ("OC=O", "OCO"),
+        ("cc", "[CH2][CH2]"),
+    ],
+)
+def test_near_shapes_keep_their_own_keys(cold_tables, texts):
+    keys = [canonical_key(one(text)).key for text in texts]
+    assert keys == [written_key(one(text)) for text in texts]
+    assert len(set(keys)) == len(smiles._SHAPES)
+
+
+def test_respellings_of_one_molecule_are_written_once(cold_tables, monkeypatch):
+    real_write = smiles.write_rooted
+    writes = []
+
+    def counting(m, root, **flags):
+        writes.append(m)
+        return real_write(m, root, **flags)
+
+    monkeypatch.setattr(smiles, "write_rooted", counting)
+    m = one("N[C@@H](C)C(=O)O")
+    spellings = [real_write(m, root)[0] for root in range(len(m.atoms))]
+    spellings += ["[NH2:1][C@@H:2]([CH3:3])C(=O)[OH:4]", "N[C@H](C)C(=O)O", "NC(C)C(O)=O"]
+    keys = {canonical_key(one(text)) for text in spellings}
+    keys.add(canonical_key(Molecule(m.atoms, m.bonds)))
+    rng = random.Random(3)
+    keys.update(canonical_key(permuted(m, rng)) for _ in range(5))
+    assert len(set(spellings)) > 5 and len(keys) == 1 and len(writes) == 1
+    canonical_key(one("NC(C)C(=O)OC"))
+    assert len(writes) == 2

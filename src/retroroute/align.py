@@ -79,13 +79,9 @@ def align_route(
             precursor = reaction.precursors[i]
             mapping = reaction.maps[i]
             if mapping:
-                anchor = float("inf")
-                child_root = -1
-                for atom_index in sorted(mapping):
-                    pos = position_of[mapping[atom_index]]
-                    if pos < anchor:
-                        anchor = float(pos)
-                        child_root = atom_index
+                # The map is one-to-one, so no two atoms tie on position.
+                child_root = min(mapping, key=lambda atom: position_of[mapping[atom]])
+                anchor = float(position_of[mapping[child_root]])
             else:
                 anchor = float("inf")
                 child_root = default_root(precursor)

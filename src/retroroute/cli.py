@@ -3,7 +3,7 @@
 Every command is deterministic for a given config and seed: record order is
 preserved regardless of worker count, emitted sets are sorted, and all
 randomness derives from the configured seed. Exit codes: 0 success,
-1 validation failure, 2 schema or config error.
+1 validation failure, 2 schema, config or file error.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .evaluate import (
     nld_profile,
     topk_accuracy,
 )
-from .reward import DEFAULT_DELIMITERS, RewardConfig, parse_plan, score_plan
+from .reward import DEFAULT_DELIMITERS, PlanScore, RewardConfig, parse_plan, score_plan
 from .routes import (
     RouteRecord,
     RouteTree,
@@ -159,7 +159,7 @@ def _map_ordered(worker, tasks: list, workers: int) -> list:
     # Imported here, so a run with one worker never loads multiprocessing.
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers) as executor:
+    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as executor:
         chunk = max(1, len(tasks) // (workers * 4))
         return list(executor.map(worker, tasks, chunksize=chunk))
 
@@ -245,10 +245,9 @@ def cmd_align(args: argparse.Namespace, config: PipelineConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _score_worker(task: tuple) -> str:
-    index, target, plan_text, references, ref_depth, reward, delimiters = task
-    plan = parse_plan(plan_text, target, delimiters)
-    return _dumps({"index": index, **asdict(score_plan(plan, references, ref_depth, reward))})
+def _score_worker(task: tuple) -> PlanScore:
+    target, plan_text, references, ref_depth, reward, delimiters = task
+    return score_plan(parse_plan(plan_text, target, delimiters), references, ref_depth, reward)
 
 
 def cmd_score(args: argparse.Namespace, config: PipelineConfig) -> int:
@@ -256,7 +255,7 @@ def cmd_score(args: argparse.Namespace, config: PipelineConfig) -> int:
     by_key = None  # the dataset's records by target key, read for the first row that needs one
     targets: dict[str, Molecule] = {}  # each distinct target text parsed once
     tasks = []
-    for index, (where, row) in enumerate(rows):
+    for where, row in rows:
         needs_record = "references" not in row or "ref_depth" not in row
         if needs_record and by_key is None:
             dataset = ingest_dataset(_resolve_dataset(args, config))
@@ -271,13 +270,14 @@ def cmd_score(args: argparse.Namespace, config: PipelineConfig) -> int:
         if row["target"] not in targets:
             targets[row["target"]] = parse_smiles(row["target"])[0]
         tasks.append(
-            (index, targets[row["target"]], plan_text, references, ref_depth,
+            (targets[row["target"]], plan_text, references, ref_depth,
              config.reward, config.delimiters)
         )
-    out_lines = _map_ordered(_score_worker, tasks, config.workers)
-    _write_lines(args.out, out_lines)
-    totals = [json.loads(line)["total"] for line in out_lines]
-    mean = sum(totals) / len(totals) if totals else 0.0
+    scores = _map_ordered(_score_worker, tasks, config.workers)
+    _write_lines(
+        args.out, [_dumps({"index": index, **asdict(score)}) for index, score in enumerate(scores)]
+    )
+    mean = sum(score.total for score in scores) / len(scores) if scores else 0.0
     print(f"mean_reward {mean!r}")
     return 0
 
@@ -495,7 +495,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _apply_overrides(load_config(args.config), args)
         return args.func(args, config)
-    except (ConfigError, SchemaError, SmilesSyntaxError, FileNotFoundError) as exc:
+    except (ConfigError, SchemaError, SmilesSyntaxError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RouteError as exc:

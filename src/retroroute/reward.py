@@ -123,7 +123,7 @@ def parse_plan(
 
     failures: list[PlanLineIssue] = []
     parsed_lines: list[tuple[int, Molecule, list[Molecule]]] = []
-    fatal: str | None = None
+    fatal = False  # an unparsable product or a line with no usable precursor
     # One parse per distinct text of this plan (a line's product is usually an
     # earlier line's precursor); every line still records its own failures.
     parse = functools.cache(_try_parse)
@@ -137,11 +137,11 @@ def parse_plan(
             continue
         product_text, _, rhs = line.partition(">>")
         product, kind, message = parse(product_text.strip())
-        if kind == "syntax" or product is None:
+        if product is None:
             failures.append(
                 PlanLineIssue(line_number, "syntax", f"product: {message}")
             )
-            fatal = fatal or f"line {line_number}: unparsable product"
+            fatal = True
             continue
         if kind is not None:
             failures.append(PlanLineIssue(line_number, kind, f"product: {message}"))
@@ -164,14 +164,14 @@ def parse_plan(
             failures.append(
                 PlanLineIssue(line_number, "structure", "no usable precursor")
             )
-            fatal = fatal or f"line {line_number}: no usable precursor"
+            fatal = True
             continue
         parsed_lines.append((line_number, product, precursors))
 
     route: Route | None = None
-    if fatal is None and parsed_lines:
+    if not fatal and parsed_lines:
         route = _reconstruct(target, parsed_lines, failures)
-    elif fatal is None:
+    elif not fatal:
         failures.append(PlanLineIssue(0, "structure", "no reaction lines"))
 
     return GeneratedPlan(
@@ -260,7 +260,7 @@ def score_plan(
     if plan.parsed_route is None:
         return PlanScore(0.0, False, None, None, None, None, None)
 
-    leaves = frozenset(plan.parsed_route.stock_refs)
+    leaves = plan.parsed_route.stock_refs
     similarity = max(jaccard(leaves, frozenset(ref)) for ref in references)
     exact = any(leaves == frozenset(ref) for ref in references)
 

@@ -164,10 +164,12 @@ def read_text(path: str | Path) -> str:
 
 
 def parse_json(text: str, where: str, kind: type):
-    """The JSON value of text, which must be of type `kind`."""
+    """The JSON value of text, which must be of type `kind`. Text that json
+    rejects (also for nesting too deep or an integer too long to read) is a
+    SchemaError naming where."""
     try:
         value = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise SchemaError(f"{where}: not valid JSON ({exc})") from exc
     if type(value) is not kind:
         raise SchemaError(f"{where}: expected {_TYPE_NAMES[kind]}")
@@ -342,15 +344,10 @@ def validate_route(route: Route, stock: StockSet) -> ValidationReport:
     grounding_offenders = [key.key for key in route.stock_refs if key not in stock.keys]
 
     return ValidationReport(
-        target_convergence=CheckResult(
-            not convergence_offenders, tuple(sorted(set(convergence_offenders)))
-        ),
-        grounding=CheckResult(
-            not grounding_offenders, tuple(sorted(set(grounding_offenders)))
-        ),
-        stepwise_linkage=CheckResult(
-            not stepwise_offenders, tuple(sorted(set(stepwise_offenders)))
-        ),
+        *(
+            CheckResult(not offenders, tuple(sorted(set(offenders))))
+            for offenders in (convergence_offenders, grounding_offenders, stepwise_offenders)
+        )
     )
 
 

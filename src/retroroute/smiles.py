@@ -86,9 +86,6 @@ ELEMENTS = frozenset(
     "Cn Nh Fl Mc Lv Ts Og".split()
 )
 
-ORGANIC_SUBSET = frozenset({"B", "C", "N", "O", "P", "S", "F", "Cl", "Br", "I"})
-AROMATIC_ELEMENTS = frozenset({"B", "C", "N", "O", "P", "S", "Se", "As"})
-
 # Smallest normal valence >= the bond sum decides the implicit hydrogen count
 # of a bare organic-subset atom.
 _NORMAL_VALENCES = {
@@ -104,38 +101,35 @@ _NORMAL_VALENCES = {
     "I": (1,),
 }
 
+ORGANIC_SUBSET = frozenset(_NORMAL_VALENCES)
+AROMATIC_ELEMENTS = frozenset({"B", "C", "N", "O", "P", "S", "Se", "As"})
+# The elements written bare in lowercase when aromatic.
+_BARE_AROMATIC = frozenset("BCNOPS")
+
 # (element, charge) -> allowed total valences, for the validity check that
-# feeds the reward's invalid-reaction count. Combinations not listed are
-# accepted rather than penalized.
-_ALLOWED_VALENCES: dict[tuple[str, int], frozenset[int]] = {
-    ("B", 0): frozenset({3}),
-    ("B", -1): frozenset({4}),
-    ("C", 0): frozenset({4}),
-    ("C", 1): frozenset({3}),
-    ("C", -1): frozenset({3}),
-    ("N", 0): frozenset({3, 5}),
-    ("N", 1): frozenset({4}),
-    ("N", -1): frozenset({2}),
-    ("O", 0): frozenset({2}),
-    ("O", 1): frozenset({3}),
-    ("O", -1): frozenset({1}),
-    ("P", 0): frozenset({3, 5}),
-    ("P", 1): frozenset({4}),
-    ("S", 0): frozenset({2, 4, 6}),
-    ("S", 1): frozenset({3, 5}),
-    ("S", -1): frozenset({1}),
-    ("F", 0): frozenset({1}),
-    ("Cl", 0): frozenset({1}),
-    ("Br", 0): frozenset({1}),
-    ("I", 0): frozenset({1}),
-    ("F", -1): frozenset({0}),
-    ("Cl", -1): frozenset({0}),
-    ("Br", -1): frozenset({0}),
-    ("I", -1): frozenset({0}),
-    ("Si", 0): frozenset({4}),
-    ("Se", 0): frozenset({2, 4, 6}),
-    ("As", 0): frozenset({3, 5}),
-    ("H", 0): frozenset({1}),
+# feeds the reward's invalid-reaction count: a neutral organic-subset atom's
+# normal valences, and the charged states and other elements listed below.
+# Combinations not listed are accepted rather than penalized.
+_ALLOWED_VALENCES: dict[tuple[str, int], tuple[int, ...]] = {
+    **{(element, 0): valences for element, valences in _NORMAL_VALENCES.items()},
+    ("B", -1): (4,),
+    ("C", 1): (3,),
+    ("C", -1): (3,),
+    ("N", 1): (4,),
+    ("N", -1): (2,),
+    ("O", 1): (3,),
+    ("O", -1): (1,),
+    ("P", 1): (4,),
+    ("S", 1): (3, 5),
+    ("S", -1): (1,),
+    ("F", -1): (0,),
+    ("Cl", -1): (0,),
+    ("Br", -1): (0,),
+    ("I", -1): (0,),
+    ("Si", 0): (4,),
+    ("Se", 0): (2, 4, 6),
+    ("As", 0): (3, 5),
+    ("H", 0): (1,),
 }
 
 
@@ -152,7 +146,7 @@ class Atom:
 
 # Each bare organic-subset token's shared Atom; see the module docstring.
 _BARE_ATOMS = {symbol: Atom(symbol) for symbol in ORGANIC_SUBSET} | {
-    symbol.lower(): Atom(symbol, aromatic=True) for symbol in "BCNOPS"
+    symbol.lower(): Atom(symbol, aromatic=True) for symbol in _BARE_AROMATIC
 }
 
 
@@ -201,16 +195,14 @@ class Molecule:
     atoms: tuple[Atom, ...]
     bonds: tuple[Bond, ...]
     source_text: str = ""
-    _adjacency: tuple[tuple[Bond, ...], ...] | None = field(
-        default=None, repr=False, compare=False
-    )
-    _ranks: tuple[int, ...] | None = field(default=None, repr=False, compare=False)
-    _key: "CanonicalKey | None" = field(default=None, repr=False, compare=False)
+    _adjacency: tuple[tuple[Bond, ...], ...] | None = field(default=None, repr=False)
+    _ranks: tuple[int, ...] | None = field(default=None, repr=False)
+    _key: "CanonicalKey | None" = field(default=None, repr=False)
     # Set by parse_smiles only: the key of source_text may enter the key table.
-    _from_text: bool = field(default=False, repr=False, compare=False)
-    _bond_sums: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _implicit: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _effective: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _from_text: bool = field(default=False, repr=False)
+    _bond_sums: tuple[int, ...] = field(init=False, repr=False)
+    _implicit: tuple[int, ...] = field(init=False, repr=False)
+    _effective: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         sums = [0] * len(self.atoms)
@@ -486,32 +478,31 @@ def _demote_aromatic_bridges(
 ) -> None:
     """Make each candidate chain bond that lies on no ring single, in place.
 
-    Without ring closures every bond is a bridge, so every candidate is
-    demoted at once. Otherwise the chain bonds (parents[x] to x) form a
-    spanning tree whose atoms are numbered in preorder, so the subtree under
-    atom x is the index range [x, end[x]). The chain bond into x lies on a
-    ring exactly when some ring-closure bond has one end inside that range
-    and one outside: one pass from the last atom back to the first
-    candidate's, with plain comparisons rather than a min/max call per atom.
+    The chain bonds (parents[x] to x) form a spanning tree whose atoms are
+    numbered in preorder, so the subtree under atom x is the index range
+    [x, end[x]). The chain bond into x lies on a ring exactly when some
+    ring-closure bond has one end inside that range and one outside: one
+    pass from the last atom back to the first candidate's, with plain
+    comparisons rather than a min/max call per atom. Without ring closures
+    no range is crossed, so every candidate is demoted.
     """
-    if closures:
-        n = len(parents)
-        low, high, end = list(range(n)), list(range(n)), list(range(1, n + 1))
-        for k in closures:
-            a, b = bonds[k].a, bonds[k].b
-            low[a], high[a] = min(low[a], b), max(high[a], b)
-            low[b], high[b] = min(low[b], a), max(high[b], a)
-        for x in range(n - 1, bonds[candidates[0]].b, -1):
-            p = parents[x]
-            if low[x] < low[p]:
-                low[p] = low[x]
-            if high[x] > high[p]:
-                high[p] = high[x]
-            if end[x] > end[p]:
-                end[p] = end[x]
-        candidates = [k for k in candidates if low[x := bonds[k].b] >= x and high[x] < end[x]]
+    n = len(parents)
+    low, high, end = list(range(n)), list(range(n)), list(range(1, n + 1))
+    for k in closures:
+        a, b = bonds[k].a, bonds[k].b
+        low[a], high[a] = min(low[a], b), max(high[a], b)
+        low[b], high[b] = min(low[b], a), max(high[b], a)
+    for x in range(n - 1, bonds[candidates[0]].b, -1):
+        p = parents[x]
+        if low[x] < low[p]:
+            low[p] = low[x]
+        if high[x] > high[p]:
+            high[p] = high[x]
+        if end[x] > end[p]:
+            end[p] = end[x]
     for k in candidates:
-        bonds[k] = _shared_bond((bonds[k].a, bonds[k].b, SINGLE, None))
+        if low[x := bonds[k].b] >= x and high[x] < end[x]:
+            bonds[k] = _shared_bond((bonds[k].a, bonds[k].b, SINGLE, None))
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +595,7 @@ def _atom_token(m: Molecule, i: int, include_maps: bool, include_stereo: bool) -
         and atom.isotope is None
         and (atom.map_number is None or not include_maps)
         and (atom.chirality is None or not include_stereo)
-        and (not atom.aromatic or atom.element in ("B", "C", "N", "O", "P", "S"))
+        and (not atom.aromatic or atom.element in _BARE_AROMATIC)
         and effective == implicit
     )
     symbol = atom.element.lower() if atom.aromatic else atom.element

@@ -131,6 +131,57 @@ def test_ingest_rejects_broken_dataset_json(work, tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["config", "dataset", "stock", "rows", "out", "csv"])
+def test_directory_given_as_a_file_path_exits_two(work, tmp_path, capsys, bad):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    record = work.records[0]
+    rows = write_jsonl(
+        tmp_path / "rows.jsonl",
+        [{"target": record.raw["target"], "candidates": [{"precursors": ["C"], "depth": 1}]}],
+    )
+    report = str(tmp_path / "report.json")
+    args = {
+        "config": ["--config", str(folder), "ingest", work.dataset, work.stock],
+        "dataset": ["ingest", str(folder), work.stock],
+        "stock": ["ingest", work.dataset, str(folder)],
+        "rows": ["vote", str(folder)],
+        "out": ["eval", rows, work.dataset, "-o", str(folder)],
+        "csv": ["eval", rows, work.dataset, "-o", report, "--csv", str(folder)],
+    }[bad]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(folder) in err
+
+
+_DEEP = "[" * 100_000
+_LONG_DEPTH = (
+    '{"target": "CCO", "entries": [{"plan_id": "a", "precursors": ["O"], "depth": '
+    + "1" * 5_000
+    + "}]}"
+)
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [("vote", _DEEP), ("ingest", _DEEP), ("vote", _LONG_DEPTH)],
+    ids=["deep-rows", "deep-dataset", "long-integer"],
+)
+def test_json_that_python_cannot_load_exits_two(work, tmp_path, capsys, command, text):
+    if text is _LONG_DEPTH and not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this Python reads integers of any length")
+    path = tmp_path / "input.json"
+    path.write_text(text, encoding="utf-8")
+    if command == "ingest":
+        args, where = ["ingest", str(path), work.stock], f"{path}: "
+    else:
+        args, where = ["vote", str(path)], f"{path} line 1: "
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {where}not valid JSON") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["ingest", "align"])
 def test_dataset_that_is_not_utf8_exits_two(work, tmp_path, capsys, command):
     latin1 = tmp_path / "latin1.json"
@@ -267,6 +318,37 @@ def test_align_worker_count_does_not_change_output(work, tmp_path):
     assert main(base + ["--workers", "1", "-o", str(serial)]) == 0
     assert main(base + ["--workers", "2", "-o", str(pooled)]) == 0
     assert serial.read_bytes() == pooled.read_bytes()
+
+
+def test_pool_never_starts_more_processes_than_tasks(work, tmp_path, monkeypatch):
+    # A stand-in pool that records its size and runs the tasks in-process.
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    serial = tmp_path / "w1.jsonl"
+    pooled = tmp_path / "w64.jsonl"
+    base = ["align", work.dataset, "--fold", "2"]
+    assert main(base + ["--workers", "1", "-o", str(serial)]) == 0
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    assert main(base + ["--workers", "64", "-o", str(pooled)]) == 0
+    assert sizes == [len(work.records)]
+    assert serial.read_bytes() == pooled.read_bytes()
+    assert retroroute.cli._map_ordered(operator.neg, [1, 2, 3], 2) == [-1, -2, -3]
+    assert sizes == [len(work.records), 2]
 
 
 def test_importing_the_cli_does_not_load_multiprocessing():

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import random
+import re
+import sys
 
 import pytest
 
@@ -537,6 +539,21 @@ def test_ingest_rejects_non_array_and_bad_json(tmp_path):
         ingest_dataset(path)
     path.write_text("not json", encoding="utf-8")
     with pytest.raises(SchemaError, match="JSON"):
+        ingest_dataset(path)
+
+
+@pytest.mark.parametrize("case", ["deep", "long-integer"])
+def test_ingest_rejects_json_that_python_cannot_load(tmp_path, case):
+    if case == "long-integer" and not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this Python reads integers of any length")
+    path = tmp_path / "data.json"
+    if case == "deep":
+        path.write_text("[" * 100_000, encoding="utf-8")
+    else:
+        raw = json.dumps([make_raw()]).replace('"ref_depth": 1', '"ref_depth": ' + "1" * 5_000)
+        assert "1" * 5_000 in raw
+        path.write_text(raw, encoding="utf-8")
+    with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: not valid JSON"):
         ingest_dataset(path)
 
 

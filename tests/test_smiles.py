@@ -560,6 +560,15 @@ def test_aromatic_chain_bond_without_ring_closures_is_demoted():
     assert [b.order for b in one("ccc").bonds] == [SINGLE, SINGLE]
 
 
+def test_aromatic_chain_bonds_in_components_without_ring_closures_are_demoted():
+    # Branched chains, alone and after a component that closes rings.
+    assert [b.order for b in one("c(c)(c)c").bonds] == [SINGLE] * 3
+    ring, branched = parse_smiles("c1ccccc1.c(c)cc")
+    assert [b.order for b in ring.bonds] == [AROMATIC] * 6
+    assert [b.order for b in branched.bonds] == [SINGLE] * 3
+    assert canonical_key(branched) == canonical_key(one("c(-c)-c-c"))
+
+
 def test_ring_opened_in_a_branch_and_closed_after_it_stays_aromatic():
     # Ring 2 opens on atom 1, inside the branch, and closes on atom 6 with
     # ring 1, so the chain bond 0-1 into the branch lies on the ring 0-1-6.
@@ -855,6 +864,38 @@ def test_valid_box_strings():
 )
 def test_validity_table(text, expected):
     assert molecule_is_valid(one(text)) is expected
+
+
+# The largest normal valence of each organic-subset element.
+_MAX_NORMAL_VALENCE = {"B": 3, "C": 4, "N": 5, "O": 2, "P": 5, "S": 6, "F": 1, "Cl": 1, "Br": 1, "I": 1}
+
+
+@pytest.mark.parametrize("element", sorted(_MAX_NORMAL_VALENCE))
+def test_bare_atom_is_valid_exactly_up_to_its_largest_normal_valence(element):
+    # A bare neutral atom bonded to `sigma` methyls: its implied hydrogens
+    # fill it to a normal valence while one fits, and the check agrees.
+    assert smiles.ORGANIC_SUBSET == set(_MAX_NORMAL_VALENCE)
+    top = _MAX_NORMAL_VALENCE[element]
+    for sigma in range(top + 2):
+        atoms = (Atom(element),) + (Atom("C", explicit_hydrogens=3),) * sigma
+        bonds = tuple(Bond(0, k, SINGLE) for k in range(1, sigma + 1))
+        assert molecule_is_valid(Molecule(atoms, bonds)) is (sigma <= top), (element, sigma)
+
+
+def test_lone_atom_is_written_bare_exactly_when_the_parser_reads_it_back():
+    atoms = [Atom(e, aromatic=flag) for e in sorted(smiles.ELEMENTS) for flag in (False, True)]
+    atoms += [Atom("c"), Atom("c", aromatic=True), Atom("Se", aromatic=True)]
+    for atom in atoms:
+        implicit = Molecule((atom,), ()).implicit_hydrogens(0)
+        symbol = atom.element.lower() if atom.aromatic else atom.element
+        bare = smiles._BARE_ATOMS.get(symbol)
+        expected = bare is not None and (bare.element, bare.aromatic) == (atom.element, atom.aromatic)
+        for pinned in (atom, replace(atom, explicit_hydrogens=implicit)):
+            token = smiles._atom_token(Molecule((pinned,), ()), 0, False, True)
+            assert (token == symbol) is expected, (pinned, token)
+            assert token in (symbol, f"[{symbol}]", f"[{symbol}H]", f"[{symbol}H{implicit}]")
+    assert smiles._atom_token(Molecule((Atom("c"),), ()), 0, False, True) == "[c]"
+    assert smiles._atom_token(Molecule((Atom("Se", aromatic=True),), ()), 0, False, True) == "[se]"
 
 
 @settings(max_examples=80, deadline=None)

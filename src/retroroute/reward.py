@@ -89,13 +89,14 @@ class PlanScore:
 
 
 def _try_parse(text: str) -> tuple[Molecule | None, str | None, str | None]:
-    """Parse one component; return (molecule, failure kind, message)."""
+    """Parse one component; return (molecule, failure kind, message). The
+    kind is "syntax" exactly when there is no molecule."""
     try:
         molecules = parse_smiles(text)
     except SmilesSyntaxError as exc:
         return None, "syntax", str(exc)
     if len(molecules) != 1:
-        return None, "syntax", "expected a single component"
+        return None, "syntax", f"expected a single-component SMILES, got {len(molecules)}"
     molecule = molecules[0]
     if not molecule_is_valid(molecule):
         return molecule, "valence", f"valence check failed for {text!r}"
@@ -137,14 +138,11 @@ def parse_plan(
             continue
         product_text, _, rhs = line.partition(">>")
         product, kind, message = parse(product_text.strip())
-        if product is None:
-            failures.append(
-                PlanLineIssue(line_number, "syntax", f"product: {message}")
-            )
-            fatal = True
-            continue
         if kind is not None:
             failures.append(PlanLineIssue(line_number, kind, f"product: {message}"))
+        if product is None:
+            fatal = True
+            continue
         precursors: list[Molecule] = []
         for part in rhs.split("."):
             part = part.strip()
@@ -154,12 +152,10 @@ def parse_plan(
                 )
                 continue
             molecule, kind, message = parse(part)
-            if molecule is None:
-                failures.append(PlanLineIssue(line_number, "syntax", message))
-                continue
             if kind is not None:
                 failures.append(PlanLineIssue(line_number, kind, message))
-            precursors.append(molecule)
+            if molecule is not None:
+                precursors.append(molecule)
         if not precursors:
             failures.append(
                 PlanLineIssue(line_number, "structure", "no usable precursor")

@@ -285,38 +285,32 @@ def _depths(
     molecule reached (0 for a leaf) and the keys on the first cycle met, if
     any; the walk stops there, and then the depths are not to be used."""
 
-    def precursor_keys(key: CanonicalKey):
+    def precursor_keys(key: CanonicalKey) -> list[CanonicalKey]:
         reaction = producers.get(key)
-        return iter(reaction.precursor_keys() if reaction is not None else ())
+        return reaction.precursor_keys() if reaction is not None else []
 
-    depth: dict[CanonicalKey, int] = {}  # -1 while the key is on the trail
+    depth: dict[CanonicalKey, int] = {}  # -1 while the key is on the stack
     for reaction in reactions:
         start = reaction.product_key
         if start in depth:
             continue
-        # trail[i] is the key whose precursors pending[i] yields; deepest[i]
-        # is the greatest depth among those precursors so far (-1 for none).
+        # Each key on the walk, with the precursors it has yet to yield.
         depth[start] = -1
-        trail, pending, deepest = [start], [precursor_keys(start)], [-1]
-        while trail:
-            child = next(pending[-1], None)
+        stack = [(start, iter(precursor_keys(start)))]
+        while stack:
+            key, pending = stack[-1]
+            child = next(pending, None)
             if child is None:
-                pending.pop()
-                finished = deepest.pop() + 1
-                depth[trail.pop()] = finished
-                if deepest and finished > deepest[-1]:
-                    deepest[-1] = finished
+                stack.pop()
+                depth[key] = max((depth[k] + 1 for k in precursor_keys(key)), default=0)
                 continue
             seen = depth.get(child)
             if seen is None:
                 depth[child] = -1
-                trail.append(child)
-                pending.append(precursor_keys(child))
-                deepest.append(-1)
+                stack.append((child, iter(precursor_keys(child))))
             elif seen < 0:
+                trail = [k for k, _ in stack]
                 return depth, tuple(k.key for k in trail[trail.index(child):])
-            elif seen > deepest[-1]:
-                deepest[-1] = seen
     return depth, ()
 
 

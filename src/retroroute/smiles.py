@@ -1,13 +1,15 @@
 """SMILES molecular graphs: parsing, rooted writing, canonical ranks and keys.
 
 The dialect is the organic subset plus bracket atoms (isotope, charge,
-explicit hydrogens, atom maps), ring closures including %nn, and the bond
-symbols - = # : / \\. Aromaticity is taken as written (lowercase atoms),
-never re-perceived, and nothing is kekulized, except that an aromatic bond
-between two aromatic atoms that lies on no ring (the unwritten ring-to-ring
-bond of c1ccccc1c1ccccc1) is read as single. Stereo marks are carried through
-verbatim but take no part in ranking or keys. Only 0-9 are digits: in ring
-closures, %nn, isotopes, hydrogen counts, charges and map numbers.
+explicit hydrogens, atom maps), ring closures including %nn, and %(n) past
+99, and the bond symbols - = # : / \\. Aromaticity is taken as written
+(lowercase atoms), never re-perceived, and nothing is kekulized, except that
+an aromatic bond between two aromatic atoms that lies on no ring (the
+unwritten ring-to-ring bond of c1ccccc1c1ccccc1) is read as single. Stereo
+marks are carried through verbatim but take no part in ranking or keys. Only
+0-9 are digits: in ring closures, %nn, %(n), isotopes, hydrogen counts,
+charges and map numbers. A number with more digits than int() will read is a
+syntax error.
 
 Key table: the module keeps one process-wide dict from the exact text of a
 component that parse_smiles read to the CanonicalKey that canonical_key
@@ -276,6 +278,8 @@ _BRACKET_RE = re.compile(
     r"(?P<charge>\+[0-9]+|-[0-9]+|\++|-+)?"
     r"(?::(?P<map>[0-9]+))?"
 )
+# A ring closure number past 9: %nn, or %(n) with any number of digits.
+_RING_RE = re.compile(r"%(?:([0-9]{2})|\(([0-9]+)\))")
 
 
 # Bracket body (the text between [ and ]) -> its Atom; see the module docstring.
@@ -297,26 +301,28 @@ def _parse_bracket(body: str, position: int) -> Atom:
     if aromatic and element not in AROMATIC_ELEMENTS:
         raise SmilesSyntaxError(f"{element} cannot be aromatic (position {position})")
     hcount = match.group("hcount")
-    hydrogens = 0 if hcount is None else (1 if hcount == "H" else int(hcount[1:]))
     charge_text = match.group("charge")
-    if charge_text is None:
-        charge = 0
-    elif len(charge_text) > 1 and charge_text[1].isdigit():
-        charge = int(charge_text)  # "+2" / "-3"
-    else:
-        charge = len(charge_text) * (1 if charge_text[0] == "+" else -1)  # "+" / "--"
     isotope = match.group("isotope")
     map_text = match.group("map")
-    map_number = int(map_text) if map_text else None
-    if map_number == 0:
-        map_number = None
+    try:  # int() refuses more digits than sys.get_int_max_str_digits()
+        hydrogens = 0 if hcount is None else (1 if hcount == "H" else int(hcount[1:]))
+        if charge_text is None:
+            charge = 0
+        elif len(charge_text) > 1 and charge_text[1].isdigit():
+            charge = int(charge_text)  # "+2" / "-3"
+        else:
+            charge = len(charge_text) * (1 if charge_text[0] == "+" else -1)  # "+" / "--"
+        isotope_number = int(isotope) if isotope else None
+        map_number = int(map_text) if map_text else None
+    except ValueError:
+        raise SmilesSyntaxError(f"bracket atom number too long at position {position}") from None
     atom = _BRACKETS[body] = Atom(
         element=element,
         aromatic=aromatic,
         charge=charge,
         explicit_hydrogens=hydrogens,
-        isotope=int(isotope) if isotope else None,
-        map_number=map_number,
+        isotope=isotope_number,
+        map_number=map_number or None,  # :0 is no map number
         chirality=match.group("chirality"),
     )
     return atom
@@ -331,7 +337,27 @@ def parse_smiles(text: str) -> list[Molecule]:
     if not text:
         raise SmilesSyntaxError("empty SMILES")
     molecules: list[Molecule] = []
+    end = -1  # where the last component read ended
+    while end < len(text):
+        molecule, end = _parse_component(text, end + 1)
+        molecules.append(molecule)
+    return molecules
 
+
+def _bond(atoms: list[Atom], i: int, j: int, symbol: str | None) -> Bond:
+    """The shared Bond from atom i to atom j written with symbol (None when
+    no bond symbol was written)."""
+    if symbol is None:
+        key = (i, j, AROMATIC if atoms[i].aromatic and atoms[j].aromatic else SINGLE, None)
+    else:
+        key = (i, j, _BOND_CHAR[symbol], symbol if symbol in "/\\" else None)
+    return _shared_bond(key)
+
+
+def _parse_component(text: str, start: int) -> tuple[Molecule, int]:
+    """The Molecule of the component of text that begins at start, and where
+    it ends: at the next '.' outside a bracket, or at len(text). Error
+    positions count from the beginning of text."""
     atoms: list[Atom] = []
     bonds: list[Bond] = []
     aromatic_chain: list[int] = []  # aromatic chain bonds between aromatic atoms
@@ -342,74 +368,7 @@ def parse_smiles(text: str) -> list[Molecule]:
     closed: set[tuple[int, int]] = set()  # (lower, higher) atoms of each ring closure
     previous: int | None = None
     pending_bond: str | None = None
-    component_start = 0
-
-    def make_bond(i: int, j: int, symbol: str | None) -> Bond:
-        if symbol is None:
-            key = (i, j, AROMATIC if atoms[i].aromatic and atoms[j].aromatic else SINGLE, None)
-        else:
-            key = (i, j, _BOND_CHAR[symbol], symbol if symbol in "/\\" else None)
-        return _shared_bond(key)
-
-    def close_component(end: int) -> None:
-        nonlocal atoms, bonds, aromatic_chain, closures, parents, closed, previous
-        if branch_stack:
-            raise SmilesSyntaxError("unclosed branch")
-        if open_rings:
-            raise SmilesSyntaxError(f"unclosed ring closure(s): {sorted(open_rings)}")
-        if pending_bond is not None:
-            raise SmilesSyntaxError("dangling bond symbol")
-        if not atoms:
-            raise SmilesSyntaxError("empty component")
-        if aromatic_chain:
-            _demote_aromatic_bridges(bonds, parents, aromatic_chain, closures)
-        source = text[component_start:end]
-        molecules.append(
-            Molecule(tuple(atoms), tuple(bonds), source, _key=_KEYS.get(source), _from_text=True)
-        )
-        atoms, bonds, aromatic_chain, closures, parents, closed = [], [], [], [], [], set()
-        previous = None
-
-    def add_atom(atom: Atom) -> None:
-        nonlocal previous, pending_bond
-        atoms.append(atom)
-        parents.append(previous)
-        index = len(atoms) - 1
-        if previous is not None:
-            bond = make_bond(previous, index, pending_bond)
-            if bond.order == AROMATIC and atoms[previous].aromatic and atom.aromatic:
-                aromatic_chain.append(len(bonds))
-            bonds.append(bond)
-        elif pending_bond is not None:
-            raise SmilesSyntaxError("bond symbol before first atom of a component")
-        pending_bond = None
-        previous = index
-
-    def ring_closure(number: int, position: int) -> None:
-        nonlocal pending_bond
-        if previous is None:
-            raise SmilesSyntaxError(f"ring closure before any atom at position {position}")
-        if number in open_rings:
-            other, sym_open = open_rings.pop(number)
-            sym_close = pending_bond
-            if sym_open is not None and sym_close is not None and sym_open != sym_close:
-                raise SmilesSyntaxError(
-                    f"conflicting bond symbols on ring closure {number}"
-                )
-            symbol = sym_close if sym_close is not None else sym_open
-            if other == previous:
-                raise SmilesSyntaxError(f"ring closure {number} bonds an atom to itself")
-            pair = (other, previous) if other < previous else (previous, other)
-            if parents[pair[1]] == pair[0] or pair in closed:
-                raise SmilesSyntaxError(f"duplicate bond via ring closure {number}")
-            closed.add(pair)
-            closures.append(len(bonds))
-            bonds.append(make_bond(other, previous, symbol))
-        else:
-            open_rings[number] = (previous, pending_bond)
-        pending_bond = None
-
-    i = 0
+    i = start
     length = len(text)
     while i < length:
         ch = text[i]
@@ -420,23 +379,54 @@ def parse_smiles(text: str) -> list[Molecule]:
             if two == "Cl" or two == "Br":
                 atom = _BARE_ATOMS[two]
                 i += 1
-            add_atom(atom)
             i += 1
+        elif ch == "[":
+            end = text.find("]", i)
+            if end < 0:
+                raise SmilesSyntaxError(f"unterminated bracket at position {i}")
+            atom = _parse_bracket(text[i + 1 : end], i)
+            i = end + 1
+        elif ch in _DIGITS or ch == "%":
+            if ch == "%":
+                match = _RING_RE.match(text, i)
+                if match is None:
+                    raise SmilesSyntaxError(f"bad %nn ring closure at position {i}")
+                try:  # int() refuses more digits than sys.get_int_max_str_digits()
+                    number = int(match[1] or match[2])
+                except ValueError:
+                    message = f"ring closure number too long at position {i}"
+                    raise SmilesSyntaxError(message) from None
+                end = match.end()
+            else:
+                number, end = int(ch), i + 1
+            if previous is None:
+                raise SmilesSyntaxError(f"ring closure before any atom at position {i}")
+            if number in open_rings:
+                other, sym_open = open_rings.pop(number)
+                sym_close = pending_bond
+                if sym_open is not None and sym_close is not None and sym_open != sym_close:
+                    raise SmilesSyntaxError(f"conflicting bond symbols on ring closure {number}")
+                symbol = sym_close if sym_close is not None else sym_open
+                if other == previous:
+                    raise SmilesSyntaxError(f"ring closure {number} bonds an atom to itself")
+                pair = (other, previous) if other < previous else (previous, other)
+                if parents[pair[1]] == pair[0] or pair in closed:
+                    raise SmilesSyntaxError(f"duplicate bond via ring closure {number}")
+                closed.add(pair)
+                closures.append(len(bonds))
+                bonds.append(_bond(atoms, other, previous, symbol))
+            else:
+                open_rings[number] = (previous, pending_bond)
+            pending_bond = None
+            i = end
             continue
-        if ch == "*":
-            raise SmilesSyntaxError(f"wildcard atom at position {i} is not supported")
-        if ch == ".":
-            close_component(i)
-            component_start = i + 1
-            i += 1
-            continue
-        if ch == "(":
+        elif ch == "(":
             if previous is None:
                 raise SmilesSyntaxError(f"branch before any atom at position {i}")
             branch_stack.append(previous)
             i += 1
             continue
-        if ch == ")":
+        elif ch == ")":
             if not branch_stack:
                 raise SmilesSyntaxError(f"unmatched ')' at position {i}")
             if pending_bond is not None:
@@ -444,33 +434,45 @@ def parse_smiles(text: str) -> list[Molecule]:
             previous = branch_stack.pop()
             i += 1
             continue
-        if ch in _BOND_CHAR:
+        elif ch in _BOND_CHAR:
             if pending_bond is not None:
                 raise SmilesSyntaxError(f"doubled bond symbol at position {i}")
             pending_bond = ch
             i += 1
             continue
-        if ch in _DIGITS:
-            ring_closure(int(ch), i)
-            i += 1
-            continue
-        if ch == "%":
-            if text[i + 1 : i + 2] not in _DIGITS or text[i + 2 : i + 3] not in _DIGITS:
-                raise SmilesSyntaxError(f"bad %nn ring closure at position {i}")
-            ring_closure(int(text[i + 1 : i + 3]), i)
-            i += 3
-            continue
-        if ch == "[":
-            end = text.find("]", i)
-            if end < 0:
-                raise SmilesSyntaxError(f"unterminated bracket at position {i}")
-            add_atom(_parse_bracket(text[i + 1 : end], i))
-            i = end + 1
-            continue
-        raise SmilesSyntaxError(f"unexpected character {ch!r} at position {i}")
+        elif ch == ".":
+            break
+        elif ch == "*":
+            raise SmilesSyntaxError(f"wildcard atom at position {i} is not supported")
+        else:
+            raise SmilesSyntaxError(f"unexpected character {ch!r} at position {i}")
+        # The atom read above, and its chain bond.
+        index = len(atoms)
+        atoms.append(atom)
+        parents.append(previous)
+        if previous is not None:
+            bond = _bond(atoms, previous, index, pending_bond)
+            if bond.order == AROMATIC and atoms[previous].aromatic and atom.aromatic:
+                aromatic_chain.append(len(bonds))
+            bonds.append(bond)
+        elif pending_bond is not None:
+            raise SmilesSyntaxError("bond symbol before first atom of a component")
+        pending_bond = None
+        previous = index
 
-    close_component(length)
-    return molecules
+    if branch_stack:
+        raise SmilesSyntaxError("unclosed branch")
+    if open_rings:
+        raise SmilesSyntaxError(f"unclosed ring closure(s): {sorted(open_rings)}")
+    if pending_bond is not None:
+        raise SmilesSyntaxError("dangling bond symbol")
+    if not atoms:
+        raise SmilesSyntaxError("empty component")
+    if aromatic_chain:
+        _demote_aromatic_bridges(bonds, parents, aromatic_chain, closures)
+    source = text[start:i]
+    key = _KEYS.get(source)
+    return Molecule(tuple(atoms), tuple(bonds), source, _key=key, _from_text=True), i
 
 
 def _demote_aromatic_bridges(
@@ -685,13 +687,12 @@ class RootedWriter:
         # First traversal: spanning tree and ring (back) edges in discovery
         # order. A back edge is met first from its later end, so it is kept
         # as (earlier atom, later atom, bond token).
-        visited = [False] * n
-        position = [0] * n
+        position = [-1] * n  # emission position of each atom reached
+        position[root] = 0
         atom_order = [root]
         tree_children: list[list[tuple[str, int]]] = [[] for _ in range(n)]
         back_edges: list[tuple[int, int, str]] = []
         used = [False] * self._n_bonds
-        visited[root] = True
         stack = [(root, 0)]
         while stack:
             current, cursor = stack[-1]
@@ -702,8 +703,7 @@ class RootedWriter:
                 if used[k]:
                     continue
                 used[k] = True
-                if not visited[other]:
-                    visited[other] = True
+                if position[other] < 0:
                     position[other] = len(atom_order)
                     atom_order.append(other)
                     tree_children[current].append((token, other))
@@ -720,7 +720,9 @@ class RootedWriter:
         back_edges.sort(key=lambda edge: (position[edge[0]], position[edge[1]]))
         ring_text: dict[int, str] = {}
         for digit, (early, late, token) in enumerate(back_edges, start=1):
-            digit_text = str(digit) if digit <= 9 else f"%{digit:02d}"
+            digit_text = (
+                str(digit) if digit <= 9 else f"%{digit}" if digit <= 99 else f"%({digit})"
+            )
             ring_text[early] = ring_text.get(early, "") + digit_text
             ring_text[late] = ring_text.get(late, "") + token + digit_text
 

@@ -182,6 +182,17 @@ def test_json_that_python_cannot_load_exits_two(work, tmp_path, capsys, command,
     assert err.startswith(f"error: {where}not valid JSON") and err.count("\n") == 1
 
 
+def test_target_with_a_number_python_cannot_read_exits_two(tmp_path, capsys):
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this Python reads integers of any length")
+    target = "[" + "1" * 5_000 + "C]"
+    entry = {"plan_id": "a", "precursors": ["O"], "depth": 1}
+    rows = write_jsonl(tmp_path / "rows.jsonl", [{"target": target, "entries": [entry]}])
+    assert main(["vote", rows, "-o", str(tmp_path / "ranked.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {rows} line 1 target: bracket atom number too long at position 0\n"
+
+
 @pytest.mark.parametrize("command", ["ingest", "align"])
 def test_dataset_that_is_not_utf8_exits_two(work, tmp_path, capsys, command):
     latin1 = tmp_path / "latin1.json"

@@ -105,6 +105,14 @@ def test_parse_unparsable_product_is_fatal():
     assert plan.parsed_route is None
 
 
+def test_product_of_two_components_names_the_count():
+    plan = parse_plan("CCO.O>>CC", mol("CCO"))
+    assert plan.parsed_route is None
+    assert [(f.line_number, f.kind, f.message) for f in plan.parse_failures] == [
+        (1, "syntax", "product: expected a single-component SMILES, got 2")
+    ]
+
+
 def test_parse_line_without_any_usable_precursor_is_fatal():
     plan = parse_plan(wrapped("CCO>>C("), mol("CCO"))
     assert plan.parsed_route is None
@@ -285,6 +293,7 @@ def _assert_scored(text: str) -> None:
 
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(st.lists(st.sampled_from(_PLAN_TOKENS), max_size=60).map("".join))
+@example("CCO>>[" + "1" * 5_000 + "C].O")  # an isotope int() may refuse to read
 def test_any_plan_text_gets_a_score(text):
     _assert_scored(text)
 

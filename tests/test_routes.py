@@ -386,6 +386,78 @@ def test_depth_rejects_a_cycle_the_target_does_not_reach():
         route_depth(r)
 
 
+# Twelve distinct molecules for random reaction graphs.
+_GRAPH_MOLECULES = [
+    "CCO", "CC=O", "c1ccccc1", "CC(=O)O", "N", "O=C=O",
+    "CCN", "CCCl", "C1CC1", "OC", "CC#N", "NC=O",
+]
+
+
+def _first_cycle(reactions: tuple[Reaction, ...]) -> tuple[str, ...]:
+    """The first cycle that a recursive depth-first search meets, from each
+    product in reaction order and each molecule's precursors in order: the
+    trail from the repeated key on."""
+    producers: dict = {}
+    for reaction in reactions:
+        producers.setdefault(reaction.product_key, reaction)
+    done = set()
+
+    def visit(k, trail):
+        if k in trail:
+            return trail[trail.index(k) :]
+        if k in done:
+            return None
+        trail.append(k)
+        for child in producers[k].precursor_keys() if k in producers else ():
+            cycle = visit(child, trail)
+            if cycle:
+                return cycle
+        trail.pop()
+        done.add(k)
+        return None
+
+    for reaction in reactions:
+        cycle = visit(reaction.product_key, [])
+        if cycle:
+            return tuple(k.key for k in cycle)
+    return ()
+
+
+def _longest_path(reactions: tuple[Reaction, ...], k) -> int:
+    """Reaction steps on the longest path from a leaf to k, memoised."""
+    producers: dict = {}
+    for reaction in reactions:
+        producers.setdefault(reaction.product_key, reaction)
+    depth: dict = {}
+
+    def longest(k) -> int:
+        if k not in depth:
+            precursors = producers[k].precursor_keys() if k in producers else []
+            depth[k] = max((longest(p) + 1 for p in precursors), default=0)
+        return depth[k]
+
+    return longest(k)
+
+
+def test_depth_and_first_cycle_match_a_recursive_search():
+    rng = random.Random(15)
+    cyclic = 0
+    for _ in range(1_000):
+        names = rng.sample(_GRAPH_MOLECULES, rng.randint(1, 12))
+        reactions = tuple(
+            rxn(rng.choice(names), *rng.choices(names, k=rng.randint(1, 3)))
+            for _ in range(rng.randint(0, 8))
+        )
+        target = mol(rng.choice(names))
+        r = Route.build(target, reactions)
+        assert r.cycle == _first_cycle(reactions)
+        if r.cycle:
+            cyclic += 1
+        else:
+            assert r.depth == _longest_path(reactions, canonical_key(target))
+    assert 100 < cyclic < 900
+
+
 def test_generated_routes_validate_and_have_requested_depth():
     rng = random.Random(3)
     for wanted in (1, 2, 4, 6):

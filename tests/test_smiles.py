@@ -173,6 +173,10 @@ def test_parse_ring_bond_order_from_either_end():
         "1CC",  # ring closure before any atom
         "(CC)",  # branch before any atom
         "[te]",  # aromatic flag outside the aromatic subset
+        "C%(",  # unterminated %(n) closure
+        "C%()",  # %(n) closure without digits
+        "C%(1",  # %(n) closure without its ')'
+        "C%(x)1",  # %(n) closure holding a letter
     ],
 )
 def test_parse_rejects_malformed(text):
@@ -237,11 +241,50 @@ def test_parsing_one_text_twice_gives_equal_bonds_in_order():
         ("[C:\u0663]", 0),  # as a map number
         ("[CH\u0662]", 0),
         ("[C+\u0662]", 0),
+        ("C%(\u0663)C", 1),  # as a %(n) ring closure
     ],
 )
 def test_only_ascii_digits_are_smiles_digits(text, position):
     with pytest.raises(SmilesSyntaxError, match=f"position {position}"):
         parse_smiles(text)
+
+
+_TOO_LONG = "1" * 5_000  # more digits than int() reads by default
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (f"[{_TOO_LONG}C]", "bracket atom number too long at position 0"),
+        (f"[CH{_TOO_LONG}]", "bracket atom number too long at position 0"),
+        (f"[C+{_TOO_LONG}]", "bracket atom number too long at position 0"),
+        (f"[CH4:{_TOO_LONG}]", "bracket atom number too long at position 0"),
+        (f"C%({_TOO_LONG})C", "ring closure number too long at position 1"),
+    ],
+    ids=["isotope", "hydrogens", "charge", "map", "ring"],
+)
+def test_number_python_cannot_read_is_a_syntax_error(text, message):
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this Python reads integers of any length")
+    with pytest.raises(SmilesSyntaxError, match=f"^{message}$"):
+        parse_smiles(text)
+
+
+def _parsed(m: Molecule) -> tuple:
+    return m.atoms, m.bonds, m.source_text, canonical_key(m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10_000), st.integers(0, 10_000))
+def test_components_parse_independently(seed_a, seed_b):
+    # Both texts number their ring closures from 1, so digits are reused.
+    a = rand_smiles(random.Random(seed_a))
+    b = rand_smiles(random.Random(seed_b))
+    assert [_parsed(m) for m in parse_smiles(f"{a}.{b}")] == [_parsed(one(a)), _parsed(one(b))]
+    # A fault in the second component is placed in the whole text.
+    fault = f"^wildcard atom at position {len(a) + 1 + len(b)} is not supported$"
+    with pytest.raises(SmilesSyntaxError, match=fault):
+        parse_smiles(f"{a}.{b}*")
 
 
 def test_bracket_body_must_match_to_its_end():
@@ -365,6 +408,22 @@ def test_write_rooted_digits_never_reused_and_percent_form():
     for digit in "123456789":
         assert text.count(digit) == 2 or digit in text.split("%10")[0]
     assert is_isomorphic(one(text), k6)
+
+
+def test_more_than_99_ring_closures_read_back():
+    # A 12 x 12 grid of carbons: 144 atoms, 264 bonds, 121 ring closures.
+    atoms = tuple(Atom("C") for _ in range(144))
+    across = [Bond(12 * r + c, 12 * r + c + 1, SINGLE) for r in range(12) for c in range(11)]
+    down = [Bond(12 * r + c, 12 * r + c + 12, SINGLE) for r in range(11) for c in range(12)]
+    grid = Molecule(atoms, tuple(across + down))
+    key = canonical_key(grid)
+    for root in (0, 5, 77, 143):
+        text, _ = write_rooted(grid, root)
+        assert "%(100)" in text and "%(121)" in text
+        back = one(text)
+        assert is_isomorphic(back, grid)
+        assert canonical_key(back) == key
+    assert canonical_key(one(key.key)) == key
 
 
 def test_write_rooted_map_and_stereo_switches():

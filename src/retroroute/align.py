@@ -9,14 +9,13 @@ same way, so the whole linearized route reads from a single viewpoint.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .routes import RouteNode, RouteTree, linearize_nodes
 from .smiles import Molecule, RootedWriter, canonical_ranks, corresponding_atom
 
 
-@dataclass(frozen=True)
-class AlignedStep:
+class AlignedStep(NamedTuple):
     """One rendered reaction. Parallel tuples are in emission order:
     anchor_positions[i] is the first product-text position taken by a mapped
     atom of precursor i (inf when nothing maps), inherited_roots[i] the atom
@@ -28,8 +27,7 @@ class AlignedStep:
     inherited_roots: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class AlignedSequence:
+class AlignedSequence(NamedTuple):
     steps: tuple[AlignedStep, ...]
     target_root: int
     root_map: dict[int, int]

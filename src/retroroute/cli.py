@@ -11,8 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 from .align import AlignedSequence, align_route, augment_roots, default_root, render_sequence
 from .consensus import CandidateSlate, SlateEntry, vote
@@ -28,6 +28,7 @@ from .reward import DEFAULT_DELIMITERS, PlanScore, RewardConfig, parse_plan, sco
 from .routes import (
     RouteRecord,
     RouteTree,
+    answers_by_target,
     ingest_dataset,
     linearize_nodes,
     load_stock,
@@ -48,8 +49,7 @@ from .smiles import Molecule, canonical_key, parse_smiles
 ROUTE_SEED_STRIDE = 1_000_003
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
+class PipelineConfig(NamedTuple):
     dataset: str | None = None
     stock: str | None = None
     reward: RewardConfig = RewardConfig()
@@ -127,9 +127,9 @@ def _apply_overrides(config: PipelineConfig, args: argparse.Namespace) -> Pipeli
         if value is not None:
             updates[name] = value
     if getattr(args, "strict_delimiters", False):
-        updates["reward"] = replace(config.reward, strict_format=True)
+        updates["reward"] = config.reward._replace(strict_format=True)
     if updates:
-        config = replace(config, **updates)
+        config = config._replace(**updates)
     config.validate()
     return config
 
@@ -252,21 +252,20 @@ def _score_worker(task: tuple) -> PlanScore:
 
 def cmd_score(args: argparse.Namespace, config: PipelineConfig) -> int:
     rows = read_rows(args.plans)
-    by_key = None  # the dataset's records by target key, read for the first row that needs one
+    by_key = None  # the dataset's answers by target key, read for the first row that needs one
     targets: dict[str, Molecule] = {}  # each distinct target text parsed once
     tasks = []
     for where, row in rows:
-        needs_record = "references" not in row or "ref_depth" not in row
-        if needs_record and by_key is None:
-            dataset = ingest_dataset(_resolve_dataset(args, config))
-            by_key = {record.route.target_key: record for record in dataset}
+        needs_dataset = "references" not in row or "ref_depth" not in row
+        if needs_dataset and by_key is None:
+            by_key = answers_by_target(_resolve_dataset(args, config))
         plan_text = read_field(row, "plan_text", where, str)
         target_key = read_target(row, where)
-        record = by_key.get(target_key) if needs_record else None
-        if needs_record and record is None:
+        answers = by_key.get(target_key) if needs_dataset else None
+        if needs_dataset and answers is None:
             raise SchemaError(f"{where}: target not in dataset and no inline references")
-        references = read_references(row, where) if "references" in row else record.references
-        ref_depth = read_count(row, "ref_depth", where) if "ref_depth" in row else record.ref_depth
+        references = read_references(row, where) if "references" in row else answers[0]
+        ref_depth = read_count(row, "ref_depth", where) if "ref_depth" in row else answers[1]
         if row["target"] not in targets:
             targets[row["target"]] = parse_smiles(row["target"])[0]
         tasks.append(
@@ -275,7 +274,7 @@ def cmd_score(args: argparse.Namespace, config: PipelineConfig) -> int:
         )
     scores = _map_ordered(_score_worker, tasks, config.workers)
     _write_lines(
-        args.out, [_dumps({"index": index, **asdict(score)}) for index, score in enumerate(scores)]
+        args.out, [_dumps({"index": index, **score._asdict()}) for index, score in enumerate(scores)]
     )
     mean = sum(score.total for score in scores) / len(scores) if scores else 0.0
     print(f"mean_reward {mean!r}")
@@ -342,13 +341,13 @@ def cmd_vote(args: argparse.Namespace, config: PipelineConfig) -> int:
 def cmd_eval(args: argparse.Namespace, config: PipelineConfig) -> int:
     dataset_path = _resolve_dataset(args, config)
     rows = read_rows(args.candidates)
-    by_key = {record.route.target_key: record for record in ingest_dataset(dataset_path)}
+    by_key = answers_by_target(dataset_path)
     records: list[EvalRecord] = []
     for where, row in rows:
         key = read_target(row, where)
         if key not in by_key:
             raise SchemaError(f"{where}: target not present in the dataset")
-        record = by_key[key]
+        references, ref_depth = by_key[key]
         candidates = []
         for j, entry in enumerate(read_field(row, "candidates", where, list)):
             at = f"{where} candidate {j}"
@@ -363,8 +362,8 @@ def cmd_eval(args: argparse.Namespace, config: PipelineConfig) -> int:
             EvalRecord(
                 target_key=key,
                 candidates=tuple(candidates),
-                references=record.references,
-                ref_depth=record.ref_depth,
+                references=references,
+                ref_depth=ref_depth,
             )
         )
     report = topk_accuracy(records, config.kmax)

@@ -7,13 +7,12 @@ failures on the same target."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .smiles import CanonicalKey
 
 
-@dataclass(frozen=True)
-class SlateEntry:
+class SlateEntry(NamedTuple):
     """One sampled plan reduced to its outcome."""
 
     plan_id: str
@@ -32,8 +31,7 @@ class CandidateSlate:
             raise ValueError("a slate needs at least one entry")
 
 
-@dataclass(frozen=True)
-class RankedCandidate:
+class RankedCandidate(NamedTuple):
     entry: SlateEntry
     votes: int
     first_index: int
@@ -63,8 +61,7 @@ def margin_rank_loss(
     return max(0.0, -(positive_score - negative_score) + margin)
 
 
-@dataclass(frozen=True)
-class RankingPair:
+class RankingPair(NamedTuple):
     """A notation that led to a solved route paired with one that did not,
     for the same target."""
 

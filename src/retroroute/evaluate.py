@@ -4,16 +4,14 @@ routes."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .smiles import CanonicalKey
 
 DEPTH_BUCKETS = ("1", "2", "3", "4", ">=5")
 
 
-@dataclass(frozen=True)
-class EvalCandidate:
+class EvalCandidate(NamedTuple):
     """One ranked prediction: its leaf set and route depth."""
 
     precursors: frozenset[CanonicalKey]
@@ -21,8 +19,7 @@ class EvalCandidate:
     plan_id: str = ""
 
 
-@dataclass(frozen=True)
-class EvalRecord:
+class EvalRecord(NamedTuple):
     """One target: ranked candidates plus the reference answers."""
 
     target_key: CanonicalKey
@@ -31,8 +28,7 @@ class EvalRecord:
     ref_depth: int
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     top_k: dict[int, float]
     depth_accuracy: dict[str, float | None]
     depth_counts: dict[str, int]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ConfigError, DomainError, SmilesSyntaxError
 from .routes import Reaction, Route, route_depth
@@ -26,8 +26,7 @@ from .smiles import (
 DEFAULT_DELIMITERS = ("<think>", "</think>")
 
 
-@dataclass(frozen=True)
-class RewardConfig:
+class RewardConfig(NamedTuple):
     """Score constants. Defaults satisfy the ordering constraint that a
     worst-case penalized exact match still beats any similarity score."""
 
@@ -52,8 +51,7 @@ class RewardConfig:
             )
 
 
-@dataclass(frozen=True)
-class PlanLineIssue:
+class PlanLineIssue(NamedTuple):
     line_number: int
     kind: str  # "syntax" | "valence" | "structure"
     message: str
@@ -77,8 +75,7 @@ class GeneratedPlan:
         )
 
 
-@dataclass(frozen=True)
-class PlanScore:
+class PlanScore(NamedTuple):
     total: float
     format_applied: bool
     exact: bool | None

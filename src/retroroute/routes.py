@@ -14,6 +14,7 @@ from collections import deque
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import CycleError, RouteError, SchemaError, SmilesSyntaxError
 from .smiles import CanonicalKey, Molecule, canonical_key, parse_smiles, smiles_keys
@@ -114,14 +115,12 @@ class Route:
         return canonical_key(self.target)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     passed: bool
     offenders: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     target_convergence: CheckResult
     grounding: CheckResult
     stepwise_linkage: CheckResult
@@ -135,8 +134,7 @@ class ValidationReport:
         )
 
 
-@dataclass(frozen=True)
-class StockSet:
+class StockSet(NamedTuple):
     keys: frozenset[CanonicalKey]
     source_path: str
 
@@ -459,6 +457,12 @@ class RouteRecord:
     raw: dict
 
 
+def read_answers(raw, where: str) -> tuple[CanonicalKey, tuple[frozenset[CanonicalKey], ...], int]:
+    """A dataset entry's target key, reference groups and ref_depth, checked;
+    its reactions are not read."""
+    return read_target(raw, where), read_references(raw, where), read_count(raw, "ref_depth", where)
+
+
 def record_from_raw(raw: dict, index: int) -> RouteRecord:
     """One dataset entry, checked and parsed. Raises SchemaError for any
     fault, naming the record and the field, as in
@@ -466,8 +470,6 @@ def record_from_raw(raw: dict, index: int) -> RouteRecord:
     where = f"record {index}"
     target = read_molecule(read_field(raw, "target", where, str), f"{where} target")
     entries = read_field(raw, "reactions", where, list)
-    references = read_references(raw, where)
-    ref_depth = read_count(raw, "ref_depth", where)
     reactions: list[Reaction] = []
     for j, entry in enumerate(entries):
         at = f"{where} reaction {j}"
@@ -484,6 +486,8 @@ def record_from_raw(raw: dict, index: int) -> RouteRecord:
             raise SchemaError(f"{at}: {exc}") from exc
 
     route = Route.build(target, tuple(reactions))
+    # Route.build keyed the target, so read_answers takes its key unparsed.
+    _, references, ref_depth = read_answers(raw, where)
     return RouteRecord(route, references, ref_depth, index, raw)
 
 
@@ -496,6 +500,14 @@ def ingest_dataset(path: str | Path) -> list[RouteRecord]:
     """Load a dataset file. Raises SchemaError naming the failing record and
     field."""
     return [record_from_raw(raw, index) for index, raw in enumerate(read_dataset(path))]
+
+
+def answers_by_target(path: str | Path) -> dict[CanonicalKey, tuple[tuple, int]]:
+    """(references, ref_depth) of each entry of a dataset file by target key,
+    read by read_answers; a later entry for a target replaces an earlier one."""
+    entries = enumerate(read_dataset(path))
+    answers = (read_answers(raw, f"record {index}") for index, raw in entries)
+    return {key: (references, ref_depth) for key, references, ref_depth in answers}
 
 
 def write_dataset(records: list[RouteRecord], path: str | Path) -> None:

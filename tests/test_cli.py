@@ -1012,9 +1012,9 @@ def test_ingest_of_a_target_with_a_non_ascii_digit_exits_two(tmp_path, capsys):
 
 def test_score_reads_the_dataset_only_for_a_row_that_needs_it(work, tmp_path, capsys, monkeypatch):
     read = []
-    real_ingest = retroroute.cli.ingest_dataset
+    real_read = retroroute.cli.answers_by_target
     monkeypatch.setattr(
-        retroroute.cli, "ingest_dataset", lambda path: read.append(path) or real_ingest(path)
+        retroroute.cli, "answers_by_target", lambda path: read.append(path) or real_read(path)
     )
     missing = str(tmp_path / "no-such-dataset.json")
     out = str(tmp_path / "scored.jsonl")
@@ -1035,3 +1035,94 @@ def test_score_reads_the_dataset_only_for_a_row_that_needs_it(work, tmp_path, ca
     errors = capsys.readouterr().err.splitlines()
     assert errors[:2] == errors[2:] and len(errors) == 4
     assert missing in errors[0] and "no dataset given" in errors[1]
+
+
+# ---------------------------------------------------------------------------
+# eval and score read only a record's target, references and ref_depth
+# ---------------------------------------------------------------------------
+
+_EVAL_ROW = _CLEAN_INPUTS["eval"]
+_LOOKUP_ROW = {"target": "CCO", "plan_text": _CLEAN_INPUTS["score"]["plan_text"]}
+
+
+def _answers_commands(tmp_path, record: dict, name: str) -> dict:
+    """Each command's argv on a one-record dataset; score's rows take their
+    answers from the dataset."""
+    dataset, out = tmp_path / f"{name}.json", str(tmp_path / f"{name}.out")
+    dataset.write_text(json.dumps([record]), encoding="utf-8")
+    stock = tmp_path / "stock.smi"
+    stock.write_text("\n".join(_CLEAN_INPUTS["stock"]) + "\n", encoding="utf-8")
+    rows = {kind: write_jsonl(tmp_path / f"{kind}.jsonl", [row]) for kind, row in
+            (("eval", _EVAL_ROW), ("score", _LOOKUP_ROW))}
+    return {
+        "eval": ["eval", rows["eval"], str(dataset), "-o", out],
+        "score": ["score", rows["score"], str(dataset), "-o", out],
+        "ingest": ["ingest", str(dataset), str(stock)],
+        "align": ["align", str(dataset), "--fold", "2", "-o", out],
+        "nld": ["nld", str(dataset), "-o", out],
+    }
+
+
+def _run(argv: list[str], capsys) -> tuple[int, str, str, bytes | None]:
+    code = main(argv)
+    captured = capsys.readouterr()
+    out = Path(argv[argv.index("-o") + 1]) if "-o" in argv else None
+    return code, captured.out, captured.err, out.read_bytes() if out and out.exists() else None
+
+
+@pytest.mark.parametrize(
+    "reactions, needle",
+    [
+        ([{"product": "C(", "precursors": ["CCBr", "O"]}], "record 0 reaction 0 product: unclosed branch"),
+        ([{"product": "CCO", "precursors": []}], "record 0 reaction 0: empty precursor list"),
+        (5, "record 0: reactions must be an array"),
+    ],
+    ids=["unparsable-product", "no-precursors", "not-an-array"],
+)
+def test_eval_and_score_do_not_read_reactions(tmp_path, capsys, reactions, needle):
+    clean = _answers_commands(tmp_path, _CLEAN_INPUTS["dataset"], "clean")
+    broken = _answers_commands(tmp_path, dict(_CLEAN_INPUTS["dataset"], reactions=reactions), "broken")
+    for command in ("eval", "score"):
+        expected = _run(clean[command], capsys)
+        assert expected[0] == 0 and expected[2] == "" and expected[3]
+        assert _run(broken[command], capsys) == expected
+    # The commands that read routes still reject the record.
+    for command in ("ingest", "align", "nld"):
+        assert _run(broken[command], capsys)[:3] == (2, "", f"error: {needle}\n")
+
+
+@pytest.mark.parametrize(
+    "fault, needle",
+    [
+        ({"target": "C("}, "record 0 target: unclosed branch"),
+        ({"target": "CCO.O"}, "record 0 target: expected a single-component SMILES, got 2"),
+        ({"target": None}, "record 0: target must be a string"),
+        ({"references": [["CCBr", "C1C"]]}, "record 0 reference 0: unclosed ring closure(s): [1]"),
+        ({"references": [[]]}, "record 0 reference 0: expected a non-empty list"),
+        ({"references": []}, "record 0: references must be a non-empty list of lists"),
+        ({"ref_depth": -1}, "record 0: ref_depth must be a non-negative integer"),
+        ({"ref_depth": True}, "record 0: ref_depth must be a non-negative integer"),
+    ],
+)
+def test_answer_faults_keep_their_wording_in_every_command(tmp_path, capsys, fault, needle):
+    commands = _answers_commands(tmp_path, dict(_CLEAN_INPUTS["dataset"], **fault), "bad")
+    for command in ("eval", "score", "ingest"):
+        assert _run(commands[command], capsys)[:3] == (2, "", f"error: {needle}\n"), command
+    for missing in ("target", "references", "ref_depth"):
+        record = {k: v for k, v in _CLEAN_INPUTS["dataset"].items() if k != missing}
+        commands = _answers_commands(tmp_path, record, "missing")
+        for command in ("eval", "score", "ingest"):
+            assert _run(commands[command], capsys)[2] == f"error: record 0: missing {missing!r}\n"
+
+
+def test_flags_applied_to_a_loaded_config_give_an_equal_config(work, tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"fold": 3, "reward": {"depth_cap": 2}}), encoding="utf-8")
+    loaded = load_config(path)
+    no_flags = SimpleNamespace(fold=None, seed=None, kmax=None, workers=None)
+    assert retroroute.cli._apply_overrides(loaded, no_flags) == loaded
+    flags = SimpleNamespace(fold=4, seed=None, kmax=None, workers=2, strict_delimiters=True)
+    assert retroroute.cli._apply_overrides(loaded, flags) == PipelineConfig(
+        reward=RewardConfig(depth_cap=2, strict_format=True), fold=4, workers=2
+    )
+    assert loaded == PipelineConfig(reward=RewardConfig(depth_cap=2), fold=3)

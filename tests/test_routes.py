@@ -10,13 +10,14 @@ import sys
 import pytest
 
 import golden
-from generators import rand_route_record
+from generators import rand_dataset, rand_route_record
 from retroroute.errors import CycleError, RouteError, SchemaError
 from retroroute.routes import (
     Reaction,
     Route,
     RouteRecord,
     StockSet,
+    answers_by_target,
     ingest_dataset,
     linearize_nodes,
     load_stock,
@@ -542,6 +543,23 @@ def test_ingest_write_fixpoint(tmp_path):
     assert ingest_dataset(second)[3].raw == records[3].raw
     write_dataset(ingest_dataset(second), first)
     assert first.read_text() == second.read_text()
+
+
+@pytest.mark.parametrize("seed, convergence", [(3, 0.0), (4, 0.4), (5, 0.8)])
+def test_answers_reader_agrees_with_ingest(tmp_path, seed, convergence):
+    rng = random.Random(seed)
+    raws = [record.raw for record in rand_dataset(rng, 8, convergence=convergence)]
+    # A later record for a target already seen, with other answers: it wins.
+    repeated = dict(raws[2], references=raws[5]["references"], ref_depth=9)
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(raws + [repeated, raws[6]]), encoding="utf-8")
+    expected = {
+        record.route.target_key: (record.references, record.ref_depth)
+        for record in ingest_dataset(path)
+    }
+    answers = answers_by_target(path)
+    assert list(answers.items()) == list(expected.items())
+    assert answers[key(raws[2]["target"])][1] == 9
 
 
 @pytest.mark.parametrize(

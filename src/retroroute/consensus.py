@@ -6,7 +6,6 @@ failures on the same target."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .smiles import CanonicalKey
@@ -21,14 +20,12 @@ class SlateEntry(NamedTuple):
     notation_id: str = ""
 
 
-@dataclass(eq=False)
 class CandidateSlate:
-    target_key: CanonicalKey
-    entries: tuple[SlateEntry, ...]
-
-    def __post_init__(self) -> None:
-        if not self.entries:
+    def __init__(self, target_key: CanonicalKey, entries: tuple[SlateEntry, ...]) -> None:
+        if not entries:
             raise ValueError("a slate needs at least one entry")
+        self.target_key = target_key
+        self.entries = entries
 
 
 class RankedCandidate(NamedTuple):

@@ -10,7 +10,7 @@ exact-match bonus with penalties, or a similarity term over leaf sets.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import math
 from typing import NamedTuple, Sequence
 
 from .errors import ConfigError, DomainError, SmilesSyntaxError
@@ -43,6 +43,13 @@ class RewardConfig(NamedTuple):
         return self.invalid_weight * self.invalid_cap + self.depth_weight * self.depth_cap
 
     def validate(self) -> None:
+        for name, value in zip(self._fields, self):
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an integer too large for a float
+                finite = False
+            if not finite:
+                raise ConfigError(f"reward {name} must be a finite number")
         if self.exact_weight - self.max_penalty() < self.similarity_weight:
             raise ConfigError(
                 "exact_weight minus the worst-case penalty must stay at or above "
@@ -57,14 +64,22 @@ class PlanLineIssue(NamedTuple):
     message: str
 
 
-@dataclass(eq=False)
 class GeneratedPlan:
-    raw_text: str
-    thought_segment: str | None
-    answer_segment: str
-    parsed_route: Route | None
-    parse_failures: tuple[PlanLineIssue, ...]
-    delimiters_ok: bool
+    def __init__(
+        self,
+        raw_text: str,
+        thought_segment: str | None,
+        answer_segment: str,
+        parsed_route: Route | None,
+        parse_failures: tuple[PlanLineIssue, ...],
+        delimiters_ok: bool,
+    ) -> None:
+        self.raw_text = raw_text
+        self.thought_segment = thought_segment
+        self.answer_segment = answer_segment
+        self.parsed_route = parsed_route
+        self.parse_failures = parse_failures
+        self.delimiters_ok = delimiters_ok
 
     @property
     def invalid_line_count(self) -> int:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 from collections import deque
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -20,7 +19,6 @@ from .errors import CycleError, RouteError, SchemaError, SmilesSyntaxError
 from .smiles import CanonicalKey, Molecule, canonical_key, parse_smiles, smiles_keys
 
 
-@dataclass(eq=False)
 class Reaction:
     """One retro step: product decomposed into precursors.
 
@@ -29,39 +27,38 @@ class Reaction:
     precursor atom has no product counterpart.
     """
 
-    product: Molecule
-    precursors: tuple[Molecule, ...]
-    maps: tuple[dict[int, int], ...]
-
-    def __post_init__(self) -> None:
-        if not self.precursors:
+    def __init__(
+        self, product: Molecule, precursors: tuple[Molecule, ...], maps: tuple[dict[int, int], ...]
+    ) -> None:
+        if not precursors:
             raise ValueError("a reaction needs at least one precursor")
+        self.product = product
+        self.precursors = precursors
+        self.maps = maps
 
     @classmethod
     def from_molecules(cls, product: Molecule, precursors: tuple[Molecule, ...]) -> "Reaction":
         """Build the atom maps from matching map numbers."""
         product_by_map: dict[int, int] = {}
         for j, atom in enumerate(product.atoms):
-            if atom.map_number is not None:
-                if atom.map_number in product_by_map:
-                    raise ValueError(
-                        f"duplicate map number {atom.map_number} on product atoms"
-                    )
-                product_by_map[atom.map_number] = j
+            number = atom.map_number
+            if number is not None:
+                if number in product_by_map:
+                    raise ValueError(f"duplicate map number {number} on product atoms")
+                product_by_map[number] = j
         maps: list[dict[int, int]] = []
         for i, mol in enumerate(precursors):
             seen: set[int] = set()
             mapping: dict[int, int] = {}
             for a, atom in enumerate(mol.atoms):
-                if atom.map_number is None:
+                number = atom.map_number
+                if number is None:
                     continue
-                if atom.map_number in seen:
-                    raise ValueError(
-                        f"duplicate map number {atom.map_number} on precursor {i}"
-                    )
-                seen.add(atom.map_number)
-                if atom.map_number in product_by_map:
-                    mapping[a] = product_by_map[atom.map_number]
+                if number in seen:
+                    raise ValueError(f"duplicate map number {number} on precursor {i}")
+                seen.add(number)
+                if number in product_by_map:
+                    mapping[a] = product_by_map[number]
             maps.append(mapping)
         return cls(product, tuple(precursors), tuple(maps))
 
@@ -73,7 +70,6 @@ class Reaction:
         return [canonical_key(m) for m in self.precursors]
 
 
-@dataclass(eq=False)
 class Route:
     """A retrosynthetic DAG rooted at `target`, analysed once by `build`:
     producers maps each product key to its first producing reaction;
@@ -82,13 +78,23 @@ class Route:
     first cycle met, if any; depth is the longest leaf-to-target distance in
     reaction steps, meaningful only when cycle is empty."""
 
-    target: Molecule
-    reactions: tuple[Reaction, ...]
-    producers: dict[CanonicalKey, Reaction]
-    made_twice: tuple[CanonicalKey, ...]
-    stock_refs: frozenset[CanonicalKey]
-    cycle: tuple[str, ...]
-    depth: int
+    def __init__(
+        self,
+        target: Molecule,
+        reactions: tuple[Reaction, ...],
+        producers: dict[CanonicalKey, Reaction],
+        made_twice: tuple[CanonicalKey, ...],
+        stock_refs: frozenset[CanonicalKey],
+        cycle: tuple[str, ...],
+        depth: int,
+    ) -> None:
+        self.target = target
+        self.reactions = reactions
+        self.producers = producers
+        self.made_twice = made_twice
+        self.stock_refs = stock_refs
+        self.cycle = cycle
+        self.depth = depth
 
     @classmethod
     def build(cls, target: Molecule, reactions: tuple[Reaction, ...]) -> "Route":
@@ -348,26 +354,33 @@ def validate_route(route: Route, stock: StockSet) -> ValidationReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(eq=False)
 class RouteNode:
     """One molecule occurrence in the decoupled tree."""
 
-    node_id: int
-    molecule: Molecule
-    reaction: Reaction | None
-    children: tuple["RouteNode", ...]
-    depth: int
+    def __init__(
+        self,
+        node_id: int,
+        molecule: Molecule,
+        reaction: Reaction | None,
+        children: tuple[RouteNode, ...],
+        depth: int,
+    ) -> None:
+        self.node_id = node_id
+        self.molecule = molecule
+        self.reaction = reaction
+        self.children = children
+        self.depth = depth
 
     @property
     def is_leaf(self) -> bool:
         return self.reaction is None
 
 
-@dataclass(eq=False)
 class RouteTree:
-    root: RouteNode
-    duplication_log: tuple[Molecule, ...]
-    route: Route
+    def __init__(self, root: RouteNode, duplication_log: tuple[Molecule, ...], route: Route) -> None:
+        self.root = root
+        self.duplication_log = duplication_log
+        self.route = route
 
 
 def to_tree(route: Route) -> RouteTree:
@@ -446,15 +459,22 @@ def route_depth(route: Route) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(eq=False)
 class RouteRecord:
     """One dataset entry: the route plus its reference answer sets."""
 
-    route: Route
-    references: tuple[frozenset[CanonicalKey], ...]
-    ref_depth: int
-    index: int
-    raw: dict
+    def __init__(
+        self,
+        route: Route,
+        references: tuple[frozenset[CanonicalKey], ...],
+        ref_depth: int,
+        index: int,
+        raw: dict,
+    ) -> None:
+        self.route = route
+        self.references = references
+        self.ref_depth = ref_depth
+        self.index = index
+        self.raw = raw
 
 
 def read_answers(raw, where: str) -> tuple[CanonicalKey, tuple[frozenset[CanonicalKey], ...], int]:

@@ -29,8 +29,8 @@ Bond parse_smiles gives every bond with those fields, so a parse allocates no
 Bond it has built before. It grows by one entry per distinct tuple the
 process parses (bounded by the atom index pairs its texts bond, a few
 thousand for a reward round) and is never cleared. Bonds are equal by value
-whether shared or built by hand; dataclasses.replace on one builds a new
-Bond. Each pool worker has its own copy.
+whether shared or built by hand; Bond._replace on one builds a new Bond.
+Each pool worker has its own copy.
 
 Bracket table: another process-wide dict, from the body of a bracket atom
 (the text between [ and ]) to the frozen Atom it parses to, so each distinct
@@ -64,7 +64,6 @@ on the Molecule or in the module.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import SmilesSyntaxError
@@ -135,8 +134,7 @@ _ALLOWED_VALENCES: dict[tuple[str, int], tuple[int, ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(NamedTuple):
     element: str
     aromatic: bool = False
     charge: int = 0
@@ -166,8 +164,7 @@ def _implicit_hydrogens(atom: Atom, sigma: int) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class Bond:
+class Bond(NamedTuple):
     a: int
     b: int
     order: str
@@ -189,32 +186,35 @@ def _shared_bond(key: tuple[int, int, str, str | None]) -> Bond:
     return bond
 
 
-@dataclass(eq=False)
 class Molecule:
     """One connected molecular graph. Atom order follows the source token order.
-    Each atom's bond sum and hydrogen counts are set once, when it is built."""
+    Each atom's bond sum and hydrogen counts are set once, when it is built.
+    Equal only to itself. `_from_text` is set by parse_smiles only: the key of
+    source_text may enter the key table."""
 
-    atoms: tuple[Atom, ...]
-    bonds: tuple[Bond, ...]
-    source_text: str = ""
-    _adjacency: tuple[tuple[Bond, ...], ...] | None = field(default=None, repr=False)
-    _ranks: tuple[int, ...] | None = field(default=None, repr=False)
-    _key: "CanonicalKey | None" = field(default=None, repr=False)
-    # Set by parse_smiles only: the key of source_text may enter the key table.
-    _from_text: bool = field(default=False, repr=False)
-    _bond_sums: tuple[int, ...] = field(init=False, repr=False)
-    _implicit: tuple[int, ...] = field(init=False, repr=False)
-    _effective: tuple[int, ...] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        sums = [0] * len(self.atoms)
-        for bond in self.bonds:
-            share = 1 if bond.order == AROMATIC else BOND_CODE[bond.order]
-            sums[bond.a] += share
-            sums[bond.b] += share
+    def __init__(
+        self,
+        atoms: tuple[Atom, ...],
+        bonds: tuple[Bond, ...],
+        source_text: str = "",
+        _key: CanonicalKey | None = None,
+        _from_text: bool = False,
+    ) -> None:
+        self.atoms = atoms
+        self.bonds = bonds
+        self.source_text = source_text
+        self._adjacency: tuple[tuple[Bond, ...], ...] | None = None
+        self._ranks: tuple[int, ...] | None = None
+        self._key = _key
+        self._from_text = _from_text
+        sums = [0] * len(atoms)
+        for a, b, order, _ in bonds:
+            share = 1 if order == AROMATIC else BOND_CODE[order]
+            sums[a] += share
+            sums[b] += share
         self._bond_sums = tuple(sums)
-        self._implicit = tuple(map(_implicit_hydrogens, self.atoms, sums))
-        pinned = [a.explicit_hydrogens for a in self.atoms]
+        self._implicit = tuple(map(_implicit_hydrogens, atoms, sums))
+        pinned = [a.explicit_hydrogens for a in atoms]
         self._effective = tuple([h if p is None else p for p, h in zip(pinned, self._implicit)])
 
     def __len__(self) -> int:
@@ -344,11 +344,11 @@ def parse_smiles(text: str) -> list[Molecule]:
     return molecules
 
 
-def _bond(atoms: list[Atom], i: int, j: int, symbol: str | None) -> Bond:
+def _bond(aromatic: list[bool], i: int, j: int, symbol: str | None) -> Bond:
     """The shared Bond from atom i to atom j written with symbol (None when
-    no bond symbol was written)."""
+    no bond symbol was written), given each atom's aromatic flag."""
     if symbol is None:
-        key = (i, j, AROMATIC if atoms[i].aromatic and atoms[j].aromatic else SINGLE, None)
+        key = (i, j, AROMATIC if aromatic[i] and aromatic[j] else SINGLE, None)
     else:
         key = (i, j, _BOND_CHAR[symbol], symbol if symbol in "/\\" else None)
     return _shared_bond(key)
@@ -359,6 +359,7 @@ def _parse_component(text: str, start: int) -> tuple[Molecule, int]:
     it ends: at the next '.' outside a bracket, or at len(text). Error
     positions count from the beginning of text."""
     atoms: list[Atom] = []
+    aromatic: list[bool] = []  # each atom's flag, read once
     bonds: list[Bond] = []
     aromatic_chain: list[int] = []  # aromatic chain bonds between aromatic atoms
     closures: list[int] = []  # ring-closure bonds
@@ -414,7 +415,7 @@ def _parse_component(text: str, start: int) -> tuple[Molecule, int]:
                     raise SmilesSyntaxError(f"duplicate bond via ring closure {number}")
                 closed.add(pair)
                 closures.append(len(bonds))
-                bonds.append(_bond(atoms, other, previous, symbol))
+                bonds.append(_bond(aromatic, other, previous, symbol))
             else:
                 open_rings[number] = (previous, pending_bond)
             pending_bond = None
@@ -449,10 +450,11 @@ def _parse_component(text: str, start: int) -> tuple[Molecule, int]:
         # The atom read above, and its chain bond.
         index = len(atoms)
         atoms.append(atom)
+        aromatic.append(atom.aromatic)
         parents.append(previous)
         if previous is not None:
-            bond = _bond(atoms, previous, index, pending_bond)
-            if bond.order == AROMATIC and atoms[previous].aromatic and atom.aromatic:
+            bond = _bond(aromatic, previous, index, pending_bond)
+            if bond.order == AROMATIC and aromatic[previous] and aromatic[index]:
                 aromatic_chain.append(len(bonds))
             bonds.append(bond)
         elif pending_bond is not None:
@@ -535,10 +537,13 @@ def canonical_ranks(m: Molecule) -> tuple[int, ...]:
     n = len(m.atoms)
     adjacency = m.adjacency
     # Every colour is below n, so code * n + colour sorts as (code, colour).
-    table = [
-        [(BOND_CODE[bond.order] * n, bond.b if bond.a == i else bond.a) for bond in row]
-        for i, row in enumerate(adjacency)
-    ]
+    # One pass over the bonds: a named tuple's fields are slower to read
+    # than a plain object's, so each bond is read once.
+    table: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for a, b, order, _ in m.bonds:
+        code = BOND_CODE[order] * n
+        table[a].append((code, b))
+        table[b].append((code, a))
     by_seed: dict[tuple, list[int]] = {}
     for i, atom in enumerate(m.atoms):
         seed = (
@@ -588,59 +593,57 @@ def canonical_ranks(m: Molecule) -> tuple[int, ...]:
 
 
 def _atom_token(m: Molecule, i: int, include_maps: bool, include_stereo: bool) -> str:
-    atom = m.atoms[i]
+    element, aromatic, charge, _, isotope, map_number, chirality = m.atoms[i]
     implicit = m._implicit[i]
     effective = m._effective[i]
     bare_allowed = (
-        atom.element in ORGANIC_SUBSET
-        and atom.charge == 0
-        and atom.isotope is None
-        and (atom.map_number is None or not include_maps)
-        and (atom.chirality is None or not include_stereo)
-        and (not atom.aromatic or atom.element in _BARE_AROMATIC)
+        element in ORGANIC_SUBSET
+        and charge == 0
+        and isotope is None
+        and (map_number is None or not include_maps)
+        and (chirality is None or not include_stereo)
+        and (not aromatic or element in _BARE_AROMATIC)
         and effective == implicit
     )
-    symbol = atom.element.lower() if atom.aromatic else atom.element
+    symbol = element.lower() if aromatic else element
     if bare_allowed:
         return symbol
     parts = ["["]
-    if atom.isotope is not None:
-        parts.append(str(atom.isotope))
+    if isotope is not None:
+        parts.append(str(isotope))
     parts.append(symbol)
-    if include_stereo and atom.chirality:
-        parts.append(atom.chirality)
+    if include_stereo and chirality:
+        parts.append(chirality)
     if effective == 1:
         parts.append("H")
     elif effective > 1:
         parts.append(f"H{effective}")
-    if atom.charge == 1:
+    if charge == 1:
         parts.append("+")
-    elif atom.charge == -1:
+    elif charge == -1:
         parts.append("-")
-    elif atom.charge > 0:
-        parts.append(f"+{atom.charge}")
-    elif atom.charge < 0:
-        parts.append(str(atom.charge))
-    if include_maps and atom.map_number is not None:
-        parts.append(f":{atom.map_number}")
+    elif charge > 0:
+        parts.append(f"+{charge}")
+    elif charge < 0:
+        parts.append(str(charge))
+    if include_maps and map_number is not None:
+        parts.append(f":{map_number}")
     parts.append("]")
     return "".join(parts)
 
 
-def _bond_token(m: Molecule, bond: Bond, include_stereo: bool) -> str:
-    if bond.order == SINGLE:
-        if include_stereo and bond.direction:
-            return bond.direction
-        if m.atoms[bond.a].aromatic and m.atoms[bond.b].aromatic:
-            return "-"
-        return ""
-    if bond.order == DOUBLE:
+def _bond_token(order: str, direction: str | None, aromatic_ends: bool, include_stereo: bool) -> str:
+    """The token of a bond of `order` and `direction`; `aromatic_ends` says
+    whether both its atoms are aromatic."""
+    if order == SINGLE:
+        if include_stereo and direction:
+            return direction
+        return "-" if aromatic_ends else ""
+    if order == DOUBLE:
         return "="
-    if bond.order == TRIPLE:
+    if order == TRIPLE:
         return "#"
-    if m.atoms[bond.a].aromatic and m.atoms[bond.b].aromatic:
-        return ""
-    return ":"
+    return "" if aromatic_ends else ":"
 
 
 class RootedWriter:
@@ -660,10 +663,12 @@ class RootedWriter:
         ranks = canonical_ranks(m)
         self._tokens = [_atom_token(m, i, include_maps, include_stereo) for i in range(len(m.atoms))]
         neighbors: list[list[tuple[int, int, int, str]]] = [[] for _ in m.atoms]
-        for k, bond in enumerate(m.bonds):
-            token = _bond_token(m, bond, include_stereo)
-            neighbors[bond.a].append((ranks[bond.b], bond.b, k, token))
-            neighbors[bond.b].append((ranks[bond.a], bond.a, k, token))
+        # Each field read once: a named tuple's fields are slow to read.
+        aromatic = [atom.aromatic for atom in m.atoms]
+        for k, (a, b, order, direction) in enumerate(m.bonds):
+            token = _bond_token(order, direction, aromatic[a] and aromatic[b], include_stereo)
+            neighbors[a].append((ranks[b], b, k, token))
+            neighbors[b].append((ranks[a], a, k, token))
         for row in neighbors:
             row.sort()
         self._neighbors = neighbors
@@ -787,10 +792,10 @@ def _shape(m: Molecule, ranks: tuple[int, ...]) -> str:
     n4 = n * 4
     values += sorted(
         [
-            x * n4 + y * 4 + BOND_CODE[bond.order]
-            if (x := ranks[bond.a]) < (y := ranks[bond.b])
-            else y * n4 + x * 4 + BOND_CODE[bond.order]
-            for bond in m.bonds
+            x * n4 + y * 4 + BOND_CODE[order]
+            if (x := ranks[a]) < (y := ranks[b])
+            else y * n4 + x * 4 + BOND_CODE[order]
+            for a, b, order, _ in m.bonds
         ]
     )
     return repr(values)
@@ -840,15 +845,16 @@ def molecule_is_valid(m: Molecule) -> bool:
     Element/charge combinations outside the tables pass by default.
     """
     for i, atom in enumerate(m.atoms):
-        allowed = _ALLOWED_VALENCES.get((atom.element, atom.charge))
+        element = atom.element
+        allowed = _ALLOWED_VALENCES.get((element, atom.charge))
         if allowed is None:
             continue
         hydrogens = m._effective[i]
         pi = 0
         if atom.aromatic:
-            if atom.element == "C":
+            if element == "C":
                 pi = 1
-            elif atom.element in ("N", "P", "As") and m.degree(i) + hydrogens == 2:
+            elif element in ("N", "P", "As") and m.degree(i) + hydrogens == 2:
                 pi = 1
         if m._bond_sums[i] + hydrogens + pi not in allowed:
             return False

@@ -154,7 +154,7 @@ def _free_slots(molecule: Molecule) -> list[int]:
 
 
 def _mapped(atom: Atom, map_number: int | None) -> Atom:
-    """atom with its map number set, built directly: dataclasses.replace
+    """atom with its map number set, built directly: Atom._replace
     takes about twice as long, and the generators re-map every atom."""
     return Atom(
         atom.element, atom.aromatic, atom.charge, atom.explicit_hydrogens,

@@ -12,7 +12,6 @@ confuse the matcher.
 from __future__ import annotations
 
 import difflib
-from dataclasses import replace
 
 from retroroute.routes import Reaction, Route, RouteRecord, route_depth
 from retroroute.smiles import Molecule, canonical_key, parse_smiles, write_rooted
@@ -177,7 +176,7 @@ def auto_map(precursor: Molecule, product: Molecule) -> dict[int, int]:
 
 def _with_maps(molecule: Molecule, mapping: dict[int, int]) -> Molecule:
     atoms = tuple(
-        replace(atom, map_number=mapping[i] + 1 if i in mapping else None)
+        atom._replace(map_number=mapping[i] + 1 if i in mapping else None)
         for i, atom in enumerate(molecule.atoms)
     )
     return Molecule(atoms, molecule.bonds, "")

@@ -373,6 +373,20 @@ def test_importing_the_cli_does_not_load_multiprocessing():
     assert result.stdout.strip() == "False"
 
 
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_process_pool():
+    # dataclasses pulls in inspect, ast and dis; no command needs them.
+    package_root = str(Path(retroroute.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": package_root}
+    code = (
+        "import sys, retroroute.cli; "
+        "print([m for m in ('dataclasses', 'inspect', 'concurrent.futures') if m in sys.modules])"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"
+
+
 def test_align_reads_config_and_flags_override_it(work, tmp_path):
     config = tmp_path / "config.json"
     config.write_text(
@@ -858,6 +872,32 @@ def test_bad_config_exits_two(work, tmp_path, capsys, payload, needle):
     err = capsys.readouterr().err
     assert needle in err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("exact_weight", "NaN"),
+        ("exact_weight", "-Infinity"),
+        ("depth_weight", "Infinity"),
+        ("similarity_weight", "1e400"),
+        pytest.param("invalid_cap", "1" + "0" * 400, id="invalid_cap-10**400"),
+    ],
+)
+def test_a_reward_value_that_is_not_a_finite_float_exits_two(work, tmp_path, capsys, name, value):
+    # json reads NaN and Infinity; scoring with them wrote "total": NaN, and a
+    # cap too large for a float raised OverflowError.
+    config = tmp_path / "config.json"
+    config.write_text(f'{{"reward": {{"{name}": {value}}}}}', encoding="utf-8")
+    plans = write_jsonl(
+        tmp_path / "plans.jsonl",
+        [{"target": work.records[0].raw["target"], "plan_text": perfect_plan(work.records[0])}],
+    )
+    out = tmp_path / "scored.jsonl"
+    assert main(["--config", str(config), "score", plans, work.dataset, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: reward {name} must be a finite number\n"
+    assert not out.exists()
 
 
 def test_config_file_sets_the_keys_it_names_and_no_others(work, tmp_path):

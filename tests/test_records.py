@@ -1,6 +1,9 @@
-"""The library's value records cannot be changed once built."""
+"""The library's value records cannot be changed once built and compare by
+value; its graph objects compare by identity."""
 
 from __future__ import annotations
+
+import pickle
 
 import pytest
 
@@ -9,8 +12,17 @@ from retroroute.cli import PipelineConfig
 from retroroute.consensus import RankedCandidate, RankingPair, SlateEntry
 from retroroute.evaluate import EvalCandidate, EvalRecord, EvalReport
 from retroroute.reward import PlanLineIssue, PlanScore, RewardConfig
-from retroroute.routes import CheckResult, StockSet, ValidationReport
-from retroroute.smiles import CanonicalKey
+from retroroute.routes import CheckResult, Reaction, RouteNode, StockSet, ValidationReport
+from retroroute.smiles import (
+    DOUBLE,
+    SINGLE,
+    Atom,
+    Bond,
+    CanonicalKey,
+    Molecule,
+    canonical_key,
+    parse_smiles,
+)
 
 _KEY = CanonicalKey("CCO")
 _PASSED = CheckResult(True)
@@ -33,6 +45,8 @@ RECORDS = [
     (PlanLineIssue(1, "syntax", "missing '>>'"), "kind"),
     (PlanScore(0.0, False, None, None, None, None, None), "total"),
     (PipelineConfig(), "workers"),
+    (Atom("C"), "charge"),
+    (Bond(0, 1, SINGLE), "order"),
 ]
 
 
@@ -44,3 +58,38 @@ def test_a_record_field_cannot_be_assigned(record, field):
     with pytest.raises(AttributeError):
         setattr(record, field, None)
     assert getattr(record, field) is before
+
+
+def test_atoms_and_bonds_compare_and_hash_by_value():
+    assert Atom("C", charge=1) == Atom("C", False, 1) and Atom("C") != Atom("N")
+    bond = Bond(0, 1, SINGLE)
+    assert bond == Bond(0, 1, SINGLE) and bond != Bond(0, 1, DOUBLE)
+    # The hash of the field tuple, as frozen dataclasses hashed: set and dict
+    # order, and with it every artifact, does not depend on the record type.
+    assert hash(bond) == hash((0, 1, SINGLE, None))
+    assert hash(Atom("C")) == hash(("C", False, 0, None, None, None, None))
+    assert bond._replace(order=DOUBLE) == Bond(0, 1, DOUBLE) and bond.order == SINGLE
+    assert bond.other(0) == 1 and bond.other(1) == 0
+
+
+def test_graph_objects_built_from_equal_fields_stay_distinct():
+    m = parse_smiles("CCO")[0]
+    pairs = [
+        (Molecule(m.atoms, m.bonds, "CCO"), Molecule(m.atoms, m.bonds, "CCO")),
+        (Reaction(m, (m,), ({},)), Reaction(m, (m,), ({},))),
+        (RouteNode(0, m, None, (), 0), RouteNode(0, m, None, (), 0)),
+    ]
+    for first, second in pairs:
+        assert first == first and first != second
+        table = {first: 1, second: 2}
+        assert len(table) == 2 and table[first] == 1 and table[second] == 2
+
+
+def test_a_molecule_round_trips_through_pickle():
+    # score --workers 2 sends parsed molecules to its pool.
+    m = parse_smiles("c1ccccc1[NH3+:1]")[0]
+    key = canonical_key(m)
+    copy = pickle.loads(pickle.dumps(m))
+    assert copy is not m and vars(copy).keys() == vars(m).keys()
+    assert (copy.atoms, copy.bonds, copy.source_text) == (m.atoms, m.bonds, m.source_text)
+    assert copy._effective == m._effective and canonical_key(copy) == key

@@ -5,7 +5,6 @@ from __future__ import annotations
 import random
 import re
 import sys
-from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -218,8 +217,8 @@ def test_parsed_bonds_are_shared_frozen_objects():
     assert one("C/C=C/C").bonds[0] is not one("CC").bonds[0]
     with pytest.raises(AttributeError):
         one("CC").bonds[0].order = DOUBLE
-    # replace builds a new Bond and leaves the shared one as it was.
-    assert replace(one("CC").bonds[0], order=DOUBLE).order == DOUBLE
+    # _replace builds a new Bond and leaves the shared one as it was.
+    assert one("CC").bonds[0]._replace(order=DOUBLE).order == DOUBLE
     assert one("CC").bonds[0] == Bond(0, 1, SINGLE)
 
 
@@ -490,8 +489,7 @@ def decorate(m: Molecule, rng: random.Random) -> Molecule:
     """m with random map numbers, chirality marks, charges, explicit
     hydrogens and bond directions: every field a token depends on."""
     atoms = tuple(
-        replace(
-            atom,
+        atom._replace(
             map_number=rng.choice((None, rng.randint(1, 99))),
             chirality=rng.choice((None, None, "@", "@@")),
             charge=rng.choice((0, 0, 0, 1, -1, 2)),
@@ -500,7 +498,7 @@ def decorate(m: Molecule, rng: random.Random) -> Molecule:
         for atom in m.atoms
     )
     bonds = tuple(
-        replace(bond, direction=rng.choice((None, "/", "\\"))) if bond.order == SINGLE else bond
+        bond._replace(direction=rng.choice((None, "/", "\\"))) if bond.order == SINGLE else bond
         for bond in m.bonds
     )
     return Molecule(atoms, bonds)
@@ -676,7 +674,7 @@ def test_unwritten_aromatic_bonds_match_a_brute_force_ring_test():
         expected = Molecule(
             m.atoms,
             tuple(
-                replace(bond, order=AROMATIC)
+                bond._replace(order=AROMATIC)
                 if bond.order == SINGLE and {bond.a, bond.b} <= aromatic and _on_ring(m, k)
                 else bond
                 for k, bond in enumerate(m.bonds)
@@ -750,7 +748,7 @@ def permuted(m: Molecule, rng: random.Random) -> Molecule:
     order = list(range(len(m.atoms)))
     rng.shuffle(order)
     place = {old: new for new, old in enumerate(order)}
-    bonds = [replace(bond, a=place[bond.a], b=place[bond.b]) for bond in m.bonds]
+    bonds = [bond._replace(a=place[bond.a], b=place[bond.b]) for bond in m.bonds]
     rng.shuffle(bonds)
     return Molecule(tuple(m.atoms[old] for old in order), tuple(bonds))
 
@@ -949,7 +947,7 @@ def test_lone_atom_is_written_bare_exactly_when_the_parser_reads_it_back():
         symbol = atom.element.lower() if atom.aromatic else atom.element
         bare = smiles._BARE_ATOMS.get(symbol)
         expected = bare is not None and (bare.element, bare.aromatic) == (atom.element, atom.aromatic)
-        for pinned in (atom, replace(atom, explicit_hydrogens=implicit)):
+        for pinned in (atom, atom._replace(explicit_hydrogens=implicit)):
             token = smiles._atom_token(Molecule((pinned,), ()), 0, False, True)
             assert (token == symbol) is expected, (pinned, token)
             assert token in (symbol, f"[{symbol}]", f"[{symbol}H]", f"[{symbol}H{implicit}]")

@@ -1,140 +1,6 @@
 """Root-aligned retrosynthetic route notation: SMILES graph core, route DAG
-model, aligned rendering, plan scoring, evaluation and consensus voting."""
+model, aligned rendering, plan scoring, evaluation and consensus voting.
 
-from .align import (
-    AlignedSequence,
-    AlignedStep,
-    align_route,
-    augment_roots,
-    default_root,
-    render_sequence,
-)
-from .consensus import (
-    CandidateSlate,
-    RankedCandidate,
-    RankingPair,
-    SlateEntry,
-    build_ranking_pairs,
-    margin_rank_loss,
-    vote,
-)
-from .errors import (
-    ConfigError,
-    CycleError,
-    DomainError,
-    RouteError,
-    SchemaError,
-    SmilesSyntaxError,
-)
-from .evaluate import (
-    EvalCandidate,
-    EvalRecord,
-    EvalReport,
-    is_success,
-    levenshtein,
-    nld_profile,
-    topk_accuracy,
-)
-from .reward import (
-    GeneratedPlan,
-    PlanLineIssue,
-    PlanScore,
-    RewardConfig,
-    jaccard,
-    parse_plan,
-    score_plan,
-    weighted_loss,
-)
-from .routes import (
-    Reaction,
-    Route,
-    RouteNode,
-    RouteRecord,
-    RouteTree,
-    StockSet,
-    ValidationReport,
-    ingest_dataset,
-    linearize_nodes,
-    load_stock,
-    route_depth,
-    to_tree,
-    validate_route,
-    write_dataset,
-)
-from .smiles import (
-    Atom,
-    Bond,
-    CanonicalKey,
-    Molecule,
-    RootedWriter,
-    canonical_key,
-    canonical_ranks,
-    corresponding_atom,
-    molecule_is_valid,
-    parse_smiles,
-    smiles_keys,
-    write_rooted,
-)
-
-__all__ = [
-    "AlignedSequence",
-    "AlignedStep",
-    "Atom",
-    "Bond",
-    "CandidateSlate",
-    "CanonicalKey",
-    "ConfigError",
-    "CycleError",
-    "DomainError",
-    "EvalCandidate",
-    "EvalRecord",
-    "EvalReport",
-    "GeneratedPlan",
-    "Molecule",
-    "PlanLineIssue",
-    "PlanScore",
-    "RankedCandidate",
-    "RankingPair",
-    "Reaction",
-    "RewardConfig",
-    "RootedWriter",
-    "Route",
-    "RouteError",
-    "RouteNode",
-    "RouteRecord",
-    "RouteTree",
-    "SchemaError",
-    "SlateEntry",
-    "SmilesSyntaxError",
-    "StockSet",
-    "ValidationReport",
-    "align_route",
-    "augment_roots",
-    "build_ranking_pairs",
-    "canonical_key",
-    "canonical_ranks",
-    "corresponding_atom",
-    "default_root",
-    "ingest_dataset",
-    "is_success",
-    "jaccard",
-    "levenshtein",
-    "linearize_nodes",
-    "load_stock",
-    "margin_rank_loss",
-    "molecule_is_valid",
-    "nld_profile",
-    "parse_plan",
-    "parse_smiles",
-    "render_sequence",
-    "route_depth",
-    "score_plan",
-    "smiles_keys",
-    "to_tree",
-    "topk_accuracy",
-    "validate_route",
-    "vote",
-    "weighted_loss",
-    "write_dataset",
-    "write_rooted",
-]
+Each public name is imported from the module that defines it, for example
+`from retroroute.smiles import canonical_key`; the package itself holds none
+and importing it loads no submodule."""

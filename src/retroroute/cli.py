@@ -37,6 +37,7 @@ from .routes import (
     read_field,
     read_json,
     read_keys,
+    read_molecule,
     read_references,
     read_rows,
     read_target,
@@ -44,7 +45,7 @@ from .routes import (
     to_tree,
     validate_route,
 )
-from .smiles import Molecule, canonical_key, parse_smiles
+from .smiles import Molecule, canonical_key
 
 ROUTE_SEED_STRIDE = 1_000_003
 
@@ -260,18 +261,16 @@ def cmd_score(args: argparse.Namespace, config: PipelineConfig) -> int:
         if needs_dataset and by_key is None:
             by_key = answers_by_target(_resolve_dataset(args, config))
         plan_text = read_field(row, "plan_text", where, str)
-        target_key = read_target(row, where)
-        answers = by_key.get(target_key) if needs_dataset else None
+        text = read_field(row, "target", where, str)
+        if text not in targets:
+            targets[text] = read_molecule(text, f"{where} target")
+        target = targets[text]
+        answers = by_key.get(canonical_key(target)) if needs_dataset else None
         if needs_dataset and answers is None:
             raise SchemaError(f"{where}: target not in dataset and no inline references")
         references = read_references(row, where) if "references" in row else answers[0]
         ref_depth = read_count(row, "ref_depth", where) if "ref_depth" in row else answers[1]
-        if row["target"] not in targets:
-            targets[row["target"]] = parse_smiles(row["target"])[0]
-        tasks.append(
-            (targets[row["target"]], plan_text, references, ref_depth,
-             config.reward, config.delimiters)
-        )
+        tasks.append((target, plan_text, references, ref_depth, config.reward, config.delimiters))
     scores = _map_ordered(_score_worker, tasks, config.workers)
     _write_lines(
         args.out, [_dumps({"index": index, **score._asdict()}) for index, score in enumerate(scores)]
@@ -291,12 +290,14 @@ def _slate_from_row(row: dict, where: str) -> tuple[str, CandidateSlate]:
     entries = []
     for j, entry in enumerate(read_field(row, "entries", where, list)):
         at = f"{where} entry {j}"
+        plan_id = read_field(entry, "plan_id", at, str)
+        notation_id = read_field(entry, "notation_id", at, str) if "notation_id" in entry else ""
         entries.append(
             SlateEntry(
-                plan_id=str(read_field(entry, "plan_id", at)),
+                plan_id=plan_id,
                 precursors=read_keys(read_field(entry, "precursors", at), at),
                 depth=read_count(entry, "depth", at),
-                notation_id=str(entry.get("notation_id", "")),
+                notation_id=notation_id,
             )
         )
     if not entries:

@@ -50,6 +50,8 @@ class RewardConfig(NamedTuple):
                 finite = False
             if not finite:
                 raise ConfigError(f"reward {name} must be a finite number")
+            if value < 0:  # a negative cap or weight turns a penalty into a bonus
+                raise ConfigError(f"reward {name} must not be negative")
         if self.exact_weight - self.max_penalty() < self.similarity_weight:
             raise ConfigError(
                 "exact_weight minus the worst-case penalty must stay at or above "

@@ -387,6 +387,36 @@ def test_importing_the_cli_loads_no_dataclasses_inspect_or_process_pool():
     assert result.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize(
+    "module, layers",
+    [
+        ("retroroute", ""),
+        ("retroroute.errors", ""),
+        ("retroroute.smiles", "errors"),
+        ("retroroute.routes", "errors smiles"),
+        ("retroroute.evaluate", "errors smiles"),
+        ("retroroute.consensus", "errors smiles"),
+        ("retroroute.align", "errors routes smiles"),
+        ("retroroute.reward", "errors routes smiles"),
+        # perfbench's tracer wraps all seven layers right after importing the cli.
+        ("retroroute.cli", "align consensus errors evaluate reward routes smiles"),
+    ],
+)
+def test_importing_a_module_loads_only_the_layers_it_builds_on(module, layers):
+    # The package namespace re-exports nothing, so a bare import loads no submodule.
+    package_root = str(Path(retroroute.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": package_root}
+    code = (
+        f"import sys, {module}; "
+        "print(' '.join(sorted(m.removeprefix('retroroute.') for m in sys.modules "
+        f"if m.startswith('retroroute.') and m != {module!r})))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == layers
+
+
 def test_align_reads_config_and_flags_override_it(work, tmp_path):
     config = tmp_path / "config.json"
     config.write_text(
@@ -530,9 +560,10 @@ def test_score_parses_each_target_text_once(work, tmp_path, capsys, monkeypatch)
     ] * 3
     plans = write_jsonl(tmp_path / "plans.jsonl", rows)
     parsed = []
-    real_parse = retroroute.cli.parse_smiles
+    # cli reads each target through routes.read_molecule, which parses it there.
+    real_parse = retroroute.routes.parse_smiles
     monkeypatch.setattr(
-        retroroute.cli, "parse_smiles", lambda text: parsed.append(text) or real_parse(text)
+        retroroute.routes, "parse_smiles", lambda text: parsed.append(text) or real_parse(text)
     )
     outputs = []
     for workers in ("1", "2"):
@@ -571,6 +602,10 @@ _SCORE = {"target": "CCO", "plan_text": WRAP + "CCO>>CC=O.O", "references": [["C
         ("score", dict(_SCORE, references="CC=O"), "references must be an array"),
         ("vote", {"target": "C1CC", "entries": [_ENTRY]}, "line 1 target: unclosed ring closure"),
         ("score", dict(_SCORE, target="CCO.O"), "target: expected a single-component SMILES, got 2"),
+        ("vote", {"target": "CCO", "entries": [dict(_ENTRY, plan_id=None)]}, "entry 0: plan_id must be a string"),
+        ("vote", {"target": "CCO", "entries": [dict(_ENTRY, plan_id=7)]}, "entry 0: plan_id must be a string"),
+        ("vote", {"target": "CCO", "entries": [dict(_ENTRY, plan_id={"a": 1})]}, "entry 0: plan_id must be a string"),
+        ("vote", {"target": "CCO", "entries": [dict(_ENTRY, notation_id=None)]}, "entry 0: notation_id must be a string"),
     ],
     ids=[
         "eval-candidate-without-precursors",
@@ -591,6 +626,10 @@ _SCORE = {"target": "CCO", "plan_text": WRAP + "CCO>>CC=O.O", "references": [["C
         "score-references-not-a-list",
         "vote-bad-target-smiles",
         "score-two-component-target",
+        "vote-plan-id-null",
+        "vote-plan-id-integer",
+        "vote-plan-id-object",
+        "vote-notation-id-null",
     ],
 )
 def test_bad_row_fields_exit_two_with_one_line(work, tmp_path, capsys, command, row, needle):
@@ -897,6 +936,26 @@ def test_a_reward_value_that_is_not_a_finite_float_exits_two(work, tmp_path, cap
     assert main(["--config", str(config), "score", plans, work.dataset, "-o", str(out)]) == 2
     err = capsys.readouterr().err
     assert err == f"error: reward {name} must be a finite number\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["format_score", "exact_weight", "similarity_weight", "invalid_weight", "depth_weight",
+     "invalid_cap", "depth_cap"],
+)
+def test_a_negative_reward_value_exits_two(work, tmp_path, capsys, name):
+    # A negative cap or weight turns a penalty into a bonus: with both caps at -1 and -2
+    # a clean exact plan would total 2.5, above the 2.0 ceiling.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"reward": {name: -1}}), encoding="utf-8")
+    plans = write_jsonl(
+        tmp_path / "plans.jsonl",
+        [{"target": work.records[0].raw["target"], "plan_text": perfect_plan(work.records[0])}],
+    )
+    out = tmp_path / "scored.jsonl"
+    assert main(["--config", str(config), "score", plans, work.dataset, "-o", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: reward {name} must not be negative\n"
     assert not out.exists()
 
 

@@ -30,7 +30,6 @@ class AlignedStep(NamedTuple):
 class AlignedSequence(NamedTuple):
     steps: tuple[AlignedStep, ...]
     target_root: int
-    root_map: dict[int, int]
 
 
 def default_root(molecule) -> int:
@@ -99,7 +98,7 @@ def align_route(
         return [e[4] for e in entries]
 
     linearize_nodes(tree, render)
-    return AlignedSequence(tuple(steps), target_root, root_map)
+    return AlignedSequence(tuple(steps), target_root)
 
 
 def augment_roots(tree: RouteTree, n: int, seed: int) -> list[AlignedSequence]:

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .align import AlignedSequence, align_route, augment_roots, default_root, render_sequence
-from .consensus import CandidateSlate, SlateEntry, vote
+from .consensus import SlateEntry, vote
 from .errors import ConfigError, RouteError, SchemaError, SmilesSyntaxError
 from .evaluate import (
     EvalCandidate,
@@ -64,9 +64,6 @@ class PipelineConfig(NamedTuple):
         self.reward.validate()
         if self.fold < 1 or self.kmax < 1 or self.workers < 1:
             raise ConfigError("fold, kmax and workers must all be at least 1")
-        for label, path in (("dataset", self.dataset), ("stock", self.stock)):
-            if path is not None and not Path(path).exists():
-                raise ConfigError(f"configured {label} path does not exist: {path}")
 
 
 # Accepted JSON types of each config key and each reward key, as read_field
@@ -267,7 +264,8 @@ def cmd_score(args: argparse.Namespace, config: PipelineConfig) -> int:
         target = targets[text]
         answers = by_key.get(canonical_key(target)) if needs_dataset else None
         if needs_dataset and answers is None:
-            raise SchemaError(f"{where}: target not in dataset and no inline references")
+            missing = " or ".join(name for name in ("references", "ref_depth") if name not in row)
+            raise SchemaError(f"{where}: target not in dataset and no inline {missing}")
         references = read_references(row, where) if "references" in row else answers[0]
         ref_depth = read_count(row, "ref_depth", where) if "ref_depth" in row else answers[1]
         tasks.append((target, plan_text, references, ref_depth, config.reward, config.delimiters))
@@ -285,8 +283,8 @@ def cmd_score(args: argparse.Namespace, config: PipelineConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _slate_from_row(row: dict, where: str) -> tuple[str, CandidateSlate]:
-    target_key = read_target(row, where)
+def _slate_from_row(row: dict, where: str) -> tuple[str, tuple[SlateEntry, ...]]:
+    read_target(row, where)
     entries = []
     for j, entry in enumerate(read_field(row, "entries", where, list)):
         at = f"{where} entry {j}"
@@ -302,15 +300,15 @@ def _slate_from_row(row: dict, where: str) -> tuple[str, CandidateSlate]:
         )
     if not entries:
         raise SchemaError(f"{where}: a slate needs at least one entry")
-    return row["target"], CandidateSlate(target_key, tuple(entries))
+    return row["target"], tuple(entries)
 
 
 def cmd_vote(args: argparse.Namespace, config: PipelineConfig) -> int:
     rows = read_rows(args.slates)
     out_lines = []
     for where, row in rows:
-        target_text, slate = _slate_from_row(row, where)
-        ranked = vote(slate)
+        target_text, entries = _slate_from_row(row, where)
+        ranked = vote(entries)
         out_lines.append(
             _dumps(
                 {
@@ -356,12 +354,10 @@ def cmd_eval(args: argparse.Namespace, config: PipelineConfig) -> int:
                 EvalCandidate(
                     precursors=read_keys(read_field(entry, "precursors", at), at),
                     depth=read_count(entry, "depth", at),
-                    plan_id=str(entry.get("plan_id", "")),
                 )
             )
         records.append(
             EvalRecord(
-                target_key=key,
                 candidates=tuple(candidates),
                 references=references,
                 ref_depth=ref_depth,

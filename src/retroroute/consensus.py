@@ -20,26 +20,18 @@ class SlateEntry(NamedTuple):
     notation_id: str = ""
 
 
-class CandidateSlate:
-    def __init__(self, target_key: CanonicalKey, entries: tuple[SlateEntry, ...]) -> None:
-        if not entries:
-            raise ValueError("a slate needs at least one entry")
-        self.target_key = target_key
-        self.entries = entries
-
-
 class RankedCandidate(NamedTuple):
     entry: SlateEntry
     votes: int
     first_index: int
 
 
-def vote(slate: CandidateSlate) -> list[RankedCandidate]:
+def vote(entries: Sequence[SlateEntry]) -> list[RankedCandidate]:
     """Collapse entries sharing a precursor set and rank the survivors by
     vote count, breaking ties toward the earliest entry."""
     counts: dict[frozenset[CanonicalKey], int] = {}
     first_entry: dict[frozenset[CanonicalKey], tuple[int, SlateEntry]] = {}
-    for index, entry in enumerate(slate.entries):
+    for index, entry in enumerate(entries):
         counts[entry.precursors] = counts.get(entry.precursors, 0) + 1
         if entry.precursors not in first_entry:
             first_entry[entry.precursors] = (index, entry)

@@ -16,13 +16,11 @@ class EvalCandidate(NamedTuple):
 
     precursors: frozenset[CanonicalKey]
     depth: int
-    plan_id: str = ""
 
 
 class EvalRecord(NamedTuple):
     """One target: ranked candidates plus the reference answers."""
 
-    target_key: CanonicalKey
     candidates: tuple[EvalCandidate, ...]
     references: tuple[frozenset[CanonicalKey], ...]
     ref_depth: int

@@ -66,22 +66,13 @@ class PlanLineIssue(NamedTuple):
     message: str
 
 
-class GeneratedPlan:
-    def __init__(
-        self,
-        raw_text: str,
-        thought_segment: str | None,
-        answer_segment: str,
-        parsed_route: Route | None,
-        parse_failures: tuple[PlanLineIssue, ...],
-        delimiters_ok: bool,
-    ) -> None:
-        self.raw_text = raw_text
-        self.thought_segment = thought_segment
-        self.answer_segment = answer_segment
-        self.parsed_route = parsed_route
-        self.parse_failures = parse_failures
-        self.delimiters_ok = delimiters_ok
+class GeneratedPlan(NamedTuple):
+    raw_text: str
+    thought_segment: str | None
+    answer_segment: str
+    parsed_route: Route | None
+    parse_failures: tuple[PlanLineIssue, ...]
+    delimiters_ok: bool
 
     @property
     def invalid_line_count(self) -> int:

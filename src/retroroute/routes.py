@@ -140,11 +140,6 @@ class ValidationReport(NamedTuple):
         )
 
 
-class StockSet(NamedTuple):
-    keys: frozenset[CanonicalKey]
-    source_path: str
-
-
 # ---------------------------------------------------------------------------
 # Input files and fields: the readers through which datasets, stock files,
 # the config and command rows are checked. Each failure is a SchemaError
@@ -187,9 +182,10 @@ def read_json(path: str | Path, kind: type):
 
 def read_rows(path: str | Path) -> list[tuple[str, dict]]:
     """The objects of a JSON-lines file, one per non-blank line, each with
-    its locator `PATH line N` (N counts every line from 1)."""
+    its locator `PATH line N` (N counts every line from 1). Only a newline
+    ends a line, so a JSON string may hold U+2028 or another separator."""
     rows = []
-    for line_number, line in enumerate(read_text(path).splitlines(), start=1):
+    for line_number, line in enumerate(read_text(path).split("\n"), start=1):
         if line.strip():
             where = f"{path} line {line_number}"
             rows.append((where, parse_json(line, where, dict)))
@@ -269,7 +265,7 @@ def read_references(row, where: str) -> tuple[frozenset[CanonicalKey], ...]:
     return tuple(references)
 
 
-def load_stock(path: str | Path) -> StockSet:
+def load_stock(path: str | Path) -> frozenset[CanonicalKey]:
     """Read a newline-delimited SMILES file into canonical keys."""
     keys: set[CanonicalKey] = set()
     for line_number, line in enumerate(read_text(path).splitlines(), start=1):
@@ -278,7 +274,7 @@ def load_stock(path: str | Path) -> StockSet:
             keys.update(_smiles(smiles_keys, line, f"stock line {line_number}"))
     if not keys:
         raise SchemaError(f"stock file {path} contains no molecules")
-    return StockSet(frozenset(keys), str(path))
+    return frozenset(keys)
 
 
 def _depths(
@@ -318,7 +314,7 @@ def _depths(
     return depth, ()
 
 
-def validate_route(route: Route, stock: StockSet) -> ValidationReport:
+def validate_route(route: Route, stock: frozenset[CanonicalKey]) -> ValidationReport:
     """Check the three structural route properties against a stock set."""
     target_key = route.target_key
     consumed: set[CanonicalKey] = set()
@@ -339,7 +335,7 @@ def validate_route(route: Route, stock: StockSet) -> ValidationReport:
     # Stepwise linkage: exactly one producer per non-leaf, and no cycles.
     stepwise_offenders = [key.key for key in route.made_twice] + list(route.cycle)
 
-    grounding_offenders = [key.key for key in route.stock_refs if key not in stock.keys]
+    grounding_offenders = [key.key for key in route.stock_refs if key not in stock]
 
     return ValidationReport(
         *(
@@ -376,11 +372,9 @@ class RouteNode:
         return self.reaction is None
 
 
-class RouteTree:
-    def __init__(self, root: RouteNode, duplication_log: tuple[Molecule, ...], route: Route) -> None:
-        self.root = root
-        self.duplication_log = duplication_log
-        self.route = route
+class RouteTree(NamedTuple):
+    root: RouteNode
+    duplication_log: tuple[Molecule, ...]
 
 
 def to_tree(route: Route) -> RouteTree:
@@ -418,7 +412,7 @@ def to_tree(route: Route) -> RouteTree:
             for node in ordered[1:]:
                 duplicates.append((key.key, node.depth, node.node_id, node.molecule))
     duplicates.sort(key=lambda item: (item[0], item[1], item[2]))
-    return RouteTree(root, tuple(m for *_, m in duplicates), route)
+    return RouteTree(root, tuple(m for *_, m in duplicates))
 
 
 def linearize_nodes(
@@ -459,22 +453,14 @@ def route_depth(route: Route) -> int:
 # ---------------------------------------------------------------------------
 
 
-class RouteRecord:
+class RouteRecord(NamedTuple):
     """One dataset entry: the route plus its reference answer sets."""
 
-    def __init__(
-        self,
-        route: Route,
-        references: tuple[frozenset[CanonicalKey], ...],
-        ref_depth: int,
-        index: int,
-        raw: dict,
-    ) -> None:
-        self.route = route
-        self.references = references
-        self.ref_depth = ref_depth
-        self.index = index
-        self.raw = raw
+    route: Route
+    references: tuple[frozenset[CanonicalKey], ...]
+    ref_depth: int
+    index: int
+    raw: dict
 
 
 def read_answers(raw, where: str) -> tuple[CanonicalKey, tuple[frozenset[CanonicalKey], ...], int]:

@@ -24,7 +24,7 @@ from generators import rand_dataset, rand_molecule, rand_route_record
 from isomorphism import is_isomorphic
 from retroroute.align import align_route, default_root, render_sequence
 from retroroute.cli import main
-from retroroute.consensus import CandidateSlate, SlateEntry, vote
+from retroroute.consensus import SlateEntry, vote
 from retroroute.evaluate import levenshtein, nld_profile
 from retroroute.reward import RewardConfig, jaccard, parse_plan, score_plan
 from retroroute.routes import linearize_nodes, route_depth, to_tree, write_dataset
@@ -295,11 +295,10 @@ def test_oracle_equivalence():
             )
             for j in range(rng.randint(1, 8))
         )
-        slate = CandidateSlate(pool[0], entries)
         counts = Counter(entry.precursors for entry in entries)
         best = max(counts.values())
         winner = next(e.precursors for e in entries if counts[e.precursors] == best)
-        ranked = vote(slate)
+        ranked = vote(entries)
         assert ranked[0].votes == best
         assert ranked[0].entry.precursors == winner
 

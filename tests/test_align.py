@@ -263,7 +263,7 @@ def test_augment_roots_are_distinct_heavy_atoms():
 
 
 def test_render_empty_sequence():
-    assert render_sequence(AlignedSequence((), 0, {})) == ""
+    assert render_sequence(AlignedSequence((), 0)) == ""
 
 
 def test_render_and_parse_round_trip():

@@ -512,6 +512,24 @@ def test_score_unknown_target_without_references_fails(work, tmp_path, capsys):
     assert "target not in dataset and no inline references" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "inline, missing",
+    [
+        ({"ref_depth": 1}, "references"),
+        ({"references": [["CC"]]}, "ref_depth"),
+        ({}, "references or ref_depth"),
+    ],
+    ids=["no-references", "no-ref-depth", "neither"],
+)
+def test_score_unknown_target_names_each_missing_field(work, tmp_path, capsys, inline, missing):
+    plans = write_jsonl(
+        tmp_path / "plans.jsonl", [{"target": "CCCCCCCCCCCCCC", "plan_text": "x", **inline}]
+    )
+    assert main(["score", plans, work.dataset, "-o", str(tmp_path / "s.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {plans} line 1: target not in dataset and no inline {missing}\n"
+
+
 def test_score_strict_delimiters_flag_withholds_format_bonus(work, tmp_path, capsys):
     row = {
         "target": "CCO",
@@ -606,6 +624,7 @@ _SCORE = {"target": "CCO", "plan_text": WRAP + "CCO>>CC=O.O", "references": [["C
         ("vote", {"target": "CCO", "entries": [dict(_ENTRY, plan_id=7)]}, "entry 0: plan_id must be a string"),
         ("vote", {"target": "CCO", "entries": [dict(_ENTRY, plan_id={"a": 1})]}, "entry 0: plan_id must be a string"),
         ("vote", {"target": "CCO", "entries": [dict(_ENTRY, notation_id=None)]}, "entry 0: notation_id must be a string"),
+        ("vote", {"target": "CCO", "entries": []}, "a slate needs at least one entry"),
     ],
     ids=[
         "eval-candidate-without-precursors",
@@ -630,6 +649,7 @@ _SCORE = {"target": "CCO", "plan_text": WRAP + "CCO>>CC=O.O", "references": [["C
         "vote-plan-id-integer",
         "vote-plan-id-object",
         "vote-notation-id-null",
+        "vote-no-entries",
     ],
 )
 def test_bad_row_fields_exit_two_with_one_line(work, tmp_path, capsys, command, row, needle):
@@ -653,6 +673,27 @@ def test_row_fault_names_the_file_line(tmp_path, capsys):
     path.write_text("\n" + json.dumps({"target": "CCO", "entries": [entry]}) + "\n", encoding="utf-8")
     assert main(["vote", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {path} line 2 entry 0: unclosed branch\n"
+
+
+def test_only_a_newline_ends_a_row(tmp_path, capsys):
+    # U+2028 and U+0085 may stand raw in a JSON string; str.splitlines
+    # would break the row there.
+    row = dict(_SCORE, plan_text="<think>pick\u2028a\x85disconnection</think>\nCCO>>CC=O.O")
+    outputs = []
+    for ensure_ascii in (True, False):
+        path = tmp_path / f"plans_{ensure_ascii}.jsonl"
+        path.write_text(json.dumps(row, ensure_ascii=ensure_ascii) + "\n", encoding="utf-8")
+        out = tmp_path / f"scored_{ensure_ascii}.jsonl"
+        assert main(["score", str(path), "-o", str(out)]) == 0
+        outputs.append((out.read_bytes(), capsys.readouterr().out))
+    assert outputs[0] == outputs[1] and outputs[0][1] == "mean_reward 2.0\n"
+    path = tmp_path / "plans.jsonl"
+    bad = dict(_SCORE, ref_depth=-1)
+    text = json.dumps(row, ensure_ascii=False) + "\n" + json.dumps(bad) + "\n"
+    path.write_text(text, encoding="utf-8")
+    assert main(["score", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {path} line 2: ref_depth must be a non-negative integer\n"
 
 
 # ---------------------------------------------------------------------------
@@ -889,7 +930,7 @@ def test_nld_route_index_out_of_range(work, capsys):
         ({"reward": {"bogus": 1}}, "unknown reward keys ['bogus']"),
         ({"delimiters": ["only-one"]}, "two non-empty strings"),
         ({"fold": 0}, "at least 1"),
-        ({"dataset": "/nonexistent/routes.json"}, "does not exist"),
+        ({"stock": 5}, "stock must be a string"),
         ({"tta": 16}, "unknown config keys ['tta']"),
         ({"out_dir": "out"}, "unknown config keys ['out_dir']"),
         ({"fold": "20"}, "fold must be an integer"),
@@ -911,6 +952,25 @@ def test_bad_config_exits_two(work, tmp_path, capsys, payload, needle):
     err = capsys.readouterr().err
     assert needle in err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key", ["dataset", "stock"])
+def test_missing_configured_path_fails_only_when_opened(work, tmp_path, capsys, key):
+    missing = str(tmp_path / "missing" / key)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: missing}), encoding="utf-8")
+    slates = write_jsonl(tmp_path / "slates.jsonl", [{"target": "CCO", "entries": [_ENTRY]}])
+    # nld reads the dataset, ingest the stock; the last positional overrides the config.
+    reads = ["nld"] if key == "dataset" else ["ingest", work.dataset]
+    given = getattr(work, key)
+    argv = ["--config", str(config)]
+
+    assert main(argv + reads) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and missing in err
+    assert main(argv + reads + [given]) == 0
+    assert main(argv + ["vote", slates, "-o", str(tmp_path / "ranked.jsonl")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize(

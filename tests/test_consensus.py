@@ -6,10 +6,7 @@ import math
 import random
 from collections import Counter
 
-import pytest
-
 from retroroute.consensus import (
-    CandidateSlate,
     RankingPair,
     SlateEntry,
     build_ranking_pairs,
@@ -31,19 +28,13 @@ def entry(plan_id: str, *texts: str, depth: int = 1) -> SlateEntry:
     return SlateEntry(plan_id=plan_id, precursors=keys_of(*texts), depth=depth)
 
 
-def slate(*entries: SlateEntry) -> CandidateSlate:
-    return CandidateSlate(target_key=key_of("CCO"), entries=entries)
-
-
 # ---------------------------------------------------------------------------
 # vote
 # ---------------------------------------------------------------------------
 
 
 def test_vote_majority_of_two():
-    ranked = vote(
-        slate(entry("a", "CC=O"), entry("b", "CC=O"), entry("c", "CCBr"))
-    )
+    ranked = vote([entry("a", "CC=O"), entry("b", "CC=O"), entry("c", "CCBr")])
     assert len(ranked) == 2
     assert ranked[0].votes == 2
     assert ranked[0].entry.plan_id == "a"
@@ -52,9 +43,7 @@ def test_vote_majority_of_two():
 
 
 def test_vote_all_distinct_keeps_input_order():
-    ranked = vote(
-        slate(entry("a", "CC=O"), entry("b", "CCBr"), entry("c", "CCI"))
-    )
+    ranked = vote([entry("a", "CC=O"), entry("b", "CCBr"), entry("c", "CCI")])
     assert [c.entry.plan_id for c in ranked] == ["a", "b", "c"]
     assert all(c.votes == 1 for c in ranked)
 
@@ -65,7 +54,7 @@ def test_vote_planted_majority_of_nine():
     entries = [entry(f"m{i}", "CC=O", "O") for i in range(9)]
     entries += [entry(f"f{i}", fillers[i]) for i in range(7)]
     rng.shuffle(entries)
-    ranked = vote(CandidateSlate(key_of("CCO"), tuple(entries)))
+    ranked = vote(entries)
     assert ranked[0].votes == 9
     assert ranked[0].entry.precursors == keys_of("CC=O", "O")
     assert len(ranked) == 8
@@ -73,7 +62,7 @@ def test_vote_planted_majority_of_nine():
 
 def test_vote_collapses_renderings_of_one_set():
     # The same leaf set written two ways is one candidate.
-    ranked = vote(slate(entry("a", "CC=O"), entry("b", "O=CC")))
+    ranked = vote([entry("a", "CC=O"), entry("b", "O=CC")])
     assert len(ranked) == 1
     assert ranked[0].votes == 2
 
@@ -85,7 +74,7 @@ def test_vote_scores_sum_to_slate_size_and_top_is_mode():
         entries = tuple(
             entry(f"p{i}", rng.choice(pool)) for i in range(rng.randint(1, 20))
         )
-        ranked = vote(CandidateSlate(key_of("CCO"), entries))
+        ranked = vote(entries)
         assert sum(c.votes for c in ranked) == len(entries)
         mode = Counter(e.precursors for e in entries).most_common(1)[0][1]
         assert ranked[0].votes == mode
@@ -94,21 +83,9 @@ def test_vote_scores_sum_to_slate_size_and_top_is_mode():
 
 
 def test_vote_tie_prefers_earliest_first_occurrence():
-    ranked = vote(
-        slate(
-            entry("a", "CCBr"),
-            entry("b", "CC=O"),
-            entry("c", "CC=O"),
-            entry("d", "CCBr"),
-        )
-    )
+    ranked = vote([entry("a", "CCBr"), entry("b", "CC=O"), entry("c", "CC=O"), entry("d", "CCBr")])
     assert [c.entry.plan_id for c in ranked] == ["a", "b"]
     assert [c.first_index for c in ranked] == [0, 1]
-
-
-def test_empty_slate_rejected():
-    with pytest.raises(ValueError):
-        CandidateSlate(target_key=key_of("CCO"), entries=())
 
 
 # ---------------------------------------------------------------------------

@@ -75,7 +75,7 @@ def test_success_compares_keys_not_strings():
 
 def candidate(solved: bool, rank_set=None, depth: int = 1) -> EvalCandidate:
     precursors = REF if solved else (rank_set or keys_of("CCBr"))
-    return EvalCandidate(precursors=precursors, depth=depth, plan_id="p")
+    return EvalCandidate(precursors=precursors, depth=depth)
 
 
 def record_with_hit_at(rank: int | None, ref_depth: int = 1) -> EvalRecord:
@@ -83,7 +83,6 @@ def record_with_hit_at(rank: int | None, ref_depth: int = 1) -> EvalRecord:
     for position in range(1, 6):
         candidates.append(candidate(solved=(rank == position), depth=1))
     return EvalRecord(
-        target_key=key_of("CCO"),
         candidates=tuple(candidates),
         references=(REF,),
         ref_depth=ref_depth,
@@ -165,7 +164,6 @@ def test_depth_bucket_labels():
 
 def test_candidate_too_deep_never_hits():
     record = EvalRecord(
-        target_key=key_of("CCO"),
         candidates=(EvalCandidate(REF, depth=5),),
         references=(REF,),
         ref_depth=2,

@@ -11,8 +11,16 @@ from retroroute.align import AlignedSequence, AlignedStep
 from retroroute.cli import PipelineConfig
 from retroroute.consensus import RankedCandidate, RankingPair, SlateEntry
 from retroroute.evaluate import EvalCandidate, EvalRecord, EvalReport
-from retroroute.reward import PlanLineIssue, PlanScore, RewardConfig
-from retroroute.routes import CheckResult, Reaction, RouteNode, StockSet, ValidationReport
+from retroroute.reward import GeneratedPlan, PlanLineIssue, PlanScore, RewardConfig
+from retroroute.routes import (
+    CheckResult,
+    Reaction,
+    Route,
+    RouteNode,
+    RouteRecord,
+    RouteTree,
+    ValidationReport,
+)
 from retroroute.smiles import (
     DOUBLE,
     SINGLE,
@@ -27,23 +35,27 @@ from retroroute.smiles import (
 _KEY = CanonicalKey("CCO")
 _PASSED = CheckResult(True)
 _ENTRY = SlateEntry("a", frozenset({_KEY}), 1)
+_ETHANOL = parse_smiles("CCO")[0]
+_ROUTE = Route.build(_ETHANOL, ())
 
 # One record of each kind and one of its fields.
 RECORDS = [
     (_PASSED, "offenders"),
     (ValidationReport(_PASSED, _PASSED, _PASSED), "grounding"),
-    (StockSet(frozenset({_KEY}), "stock.smi"), "keys"),
     (AlignedStep("CCO", ("CC", "O"), (0.0, 2.0), (0, 0)), "precursor_texts"),
-    (AlignedSequence((), 0, {}), "target_root"),
+    (AlignedSequence((), 0), "target_root"),
     (_ENTRY, "depth"),
     (RankedCandidate(_ENTRY, 2, 0), "votes"),
     (RankingPair("a", "b"), "label"),
     (EvalCandidate(frozenset({_KEY}), 1), "precursors"),
-    (EvalRecord(_KEY, (), (frozenset({_KEY}),), 1), "ref_depth"),
+    (EvalRecord((), (frozenset({_KEY}),), 1), "ref_depth"),
     (EvalReport({1: 1.0}, {"1": 1.0}, {"1": 1}, 1), "total"),
     (RewardConfig(), "exact_weight"),
     (PlanLineIssue(1, "syntax", "missing '>>'"), "kind"),
     (PlanScore(0.0, False, None, None, None, None, None), "total"),
+    (GeneratedPlan("CCO>>C", None, "CCO>>C", None, (), False), "parsed_route"),
+    (RouteRecord(_ROUTE, (frozenset({_KEY}),), 0, 0, {"target": "CCO"}), "references"),
+    (RouteTree(RouteNode(0, _ETHANOL, None, (), 0), ()), "duplication_log"),
     (PipelineConfig(), "workers"),
     (Atom("C"), "charge"),
     (Bond(0, 1, SINGLE), "order"),
@@ -77,6 +89,7 @@ def test_graph_objects_built_from_equal_fields_stay_distinct():
     pairs = [
         (Molecule(m.atoms, m.bonds, "CCO"), Molecule(m.atoms, m.bonds, "CCO")),
         (Reaction(m, (m,), ({},)), Reaction(m, (m,), ({},))),
+        (Route.build(m, ()), Route.build(m, ())),
         (RouteNode(0, m, None, (), 0), RouteNode(0, m, None, (), 0)),
     ]
     for first, second in pairs:

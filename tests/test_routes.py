@@ -16,7 +16,6 @@ from retroroute.routes import (
     Reaction,
     Route,
     RouteRecord,
-    StockSet,
     answers_by_target,
     ingest_dataset,
     linearize_nodes,
@@ -45,8 +44,8 @@ def route(target: str, *reactions: Reaction) -> Route:
     return Route.build(mol(target), tuple(reactions))
 
 
-def stock_of(*texts: str) -> StockSet:
-    return StockSet(frozenset(key(t) for t in texts), "<memory>")
+def stock_of(*texts: str) -> frozenset:
+    return frozenset(key(t) for t in texts)
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +179,7 @@ def test_validate_cycle_fails_stepwise():
 
 def test_validate_golden_route_against_its_leaves():
     record = golden.build_record()
-    stock = StockSet(record.route.stock_refs, "<golden>")
-    report = validate_route(record.route, stock)
+    report = validate_route(record.route, record.route.stock_refs)
     assert report.ok
     assert len(record.route.stock_refs) == 7
 
@@ -464,8 +462,7 @@ def test_generated_routes_validate_and_have_requested_depth():
     for wanted in (1, 2, 4, 6):
         record = rand_route_record(rng, depth=wanted)
         assert route_depth(record.route) == wanted
-        stock = StockSet(record.route.stock_refs, "<memory>")
-        assert validate_route(record.route, stock).ok
+        assert validate_route(record.route, record.route.stock_refs).ok
 
 
 # ---------------------------------------------------------------------------
@@ -476,9 +473,7 @@ def test_generated_routes_validate_and_have_requested_depth():
 def test_load_stock_reads_lines(tmp_path):
     path = tmp_path / "stock.smi"
     path.write_text("CCO\n\nCC=O.O\n", encoding="utf-8")
-    stock = load_stock(path)
-    assert stock.keys == frozenset({key("CCO"), key("CC=O"), key("O")})
-    assert stock.source_path == str(path)
+    assert load_stock(path) == frozenset({key("CCO"), key("CC=O"), key("O")})
 
 
 def test_load_stock_rejects_empty(tmp_path):

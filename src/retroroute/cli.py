@@ -26,7 +26,7 @@ from .evaluate import (
 )
 from .reward import DEFAULT_DELIMITERS, PlanScore, RewardConfig, parse_plan, score_plan
 from .routes import (
-    RouteRecord,
+    Route,
     RouteTree,
     answers_by_target,
     ingest_dataset,
@@ -39,9 +39,9 @@ from .routes import (
     read_keys,
     read_molecule,
     read_references,
+    read_route,
     read_rows,
     read_target,
-    record_from_raw,
     to_tree,
     validate_route,
 )
@@ -194,13 +194,13 @@ def cmd_ingest(args: argparse.Namespace, config: PipelineConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _tree(record: RouteRecord) -> RouteTree:
-    """The record's route as a tree; a route with a cycle or a molecule made
-    twice is a validation failure that names the record."""
+def _tree(route: Route, index: int) -> RouteTree:
+    """The route of record `index` as a tree; a route with a cycle or a
+    molecule made twice is a validation failure that names the record."""
     try:
-        return to_tree(record.route)
+        return to_tree(route)
     except RouteError as exc:
-        raise RouteError(f"record {record.index}: {exc}") from exc
+        raise RouteError(f"record {index}: {exc}") from exc
 
 
 def _sequence_lines(sequence: AlignedSequence) -> list[str]:
@@ -210,7 +210,7 @@ def _sequence_lines(sequence: AlignedSequence) -> list[str]:
 
 def _align_worker(task: tuple[int, dict, int, int]) -> list[str]:
     index, raw, fold, base_seed = task
-    tree = _tree(record_from_raw(raw, index))
+    tree = _tree(read_route(raw, index), index)
     sequences = augment_roots(tree, fold, base_seed + ROUTE_SEED_STRIDE * index)
     lines = []
     for sequence in sequences:
@@ -401,8 +401,7 @@ def _format_report(report: EvalReport) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _route_lines(record: RouteRecord, mode: str) -> list[str]:
-    tree = _tree(record)
+def _route_lines(tree: RouteTree, mode: str) -> list[str]:
     if mode == "aligned":
         return _sequence_lines(align_route(tree, default_root(tree.root.molecule)))
     lines = []
@@ -415,16 +414,17 @@ def _route_lines(record: RouteRecord, mode: str) -> list[str]:
 
 def cmd_nld(args: argparse.Namespace, config: PipelineConfig) -> int:
     dataset_path = _resolve_dataset(args, config)
-    records = ingest_dataset(dataset_path)
+    routes = [read_route(raw, index) for index, raw in enumerate(read_dataset(dataset_path))]
+    indices = range(len(routes))
     if args.route is not None:
-        if not 0 <= args.route < len(records):
+        if not 0 <= args.route < len(routes):
             raise SchemaError(f"route index {args.route} out of range")
-        records = [records[args.route]]
+        indices = [args.route]
     rows = ["route_id,mode,step,nld"]
-    for record in records:
-        lines = _route_lines(record, args.mode)
+    for index in indices:
+        lines = _route_lines(_tree(routes[index], index), args.mode)
         for k, value in nld_profile(lines):
-            rows.append(f"{record.index},{args.mode},{k},{value!r}")
+            rows.append(f"{index},{args.mode},{k},{value!r}")
     _write_lines(args.out, rows)
     return 0
 

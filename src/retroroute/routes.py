@@ -469,9 +469,10 @@ def read_answers(raw, where: str) -> tuple[CanonicalKey, tuple[frozenset[Canonic
     return read_target(raw, where), read_references(raw, where), read_count(raw, "ref_depth", where)
 
 
-def record_from_raw(raw: dict, index: int) -> RouteRecord:
-    """One dataset entry, checked and parsed. Raises SchemaError for any
-    fault, naming the record and the field, as in
+def read_route(raw, index: int) -> Route:
+    """A dataset entry's route, its target and reactions, checked and parsed;
+    its answers are not read. Raises SchemaError for any fault, naming the
+    record and the field, as in
     `record 3 reaction 2 precursor 1: unclosed branch`."""
     where = f"record {index}"
     target = read_molecule(read_field(raw, "target", where, str), f"{where} target")
@@ -491,9 +492,15 @@ def record_from_raw(raw: dict, index: int) -> RouteRecord:
         except ValueError as exc:  # a map number repeated within one molecule
             raise SchemaError(f"{at}: {exc}") from exc
 
-    route = Route.build(target, tuple(reactions))
+    return Route.build(target, tuple(reactions))
+
+
+def record_from_raw(raw: dict, index: int) -> RouteRecord:
+    """One dataset entry, checked and parsed: its route by read_route, then
+    its answers by read_answers."""
+    route = read_route(raw, index)
     # Route.build keyed the target, so read_answers takes its key unparsed.
-    _, references, ref_depth = read_answers(raw, where)
+    _, references, ref_depth = read_answers(raw, f"record {index}")
     return RouteRecord(route, references, ref_depth, index, raw)
 
 

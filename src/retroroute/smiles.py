@@ -828,15 +828,6 @@ def smiles_keys(text: str) -> list[CanonicalKey]:
     return keys
 
 
-def corresponding_atom(src: Molecule, index: int, dst: Molecule) -> int:
-    """Map an atom of `src` to the atom of `dst` holding the same canonical
-    rank. Both molecules must share a canonical key."""
-    if canonical_key(src) != canonical_key(dst):
-        raise ValueError("molecules are not the same structure")
-    rank = canonical_ranks(src)[index]
-    return canonical_ranks(dst).index(rank)
-
-
 def molecule_is_valid(m: Molecule) -> bool:
     """Standard-valence check used for the invalid-reaction count.
 

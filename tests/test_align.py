@@ -8,6 +8,8 @@ from itertools import permutations
 import pytest
 
 import golden
+import reference_align
+import retroroute.align as align
 from generators import rand_route_record
 from isomorphism import is_isomorphic
 from retroroute.align import (
@@ -19,9 +21,11 @@ from retroroute.align import (
 )
 from retroroute.routes import Reaction, Route, to_tree
 from retroroute.smiles import (
+    RootedWriter,
     canonical_key,
     canonical_ranks,
     parse_smiles,
+    write_rooted,
 )
 
 
@@ -162,6 +166,15 @@ def test_align_requires_valid_target_root():
         align_route(tree, 99)
 
 
+@pytest.mark.parametrize("target_root", [-1, -3])
+def test_align_rejects_a_negative_target_root(target_root):
+    # A negative root must not wrap around to an atom counted from the end.
+    r = Reaction.from_molecules(mol("[CH3:1][CH2:2][OH:3]"), (mol("[CH3:1][CH:2]=[O:3]"),))
+    tree = tree_for("OCC", r)
+    with pytest.raises(IndexError):
+        align_route(tree, target_root)
+
+
 # ---------------------------------------------------------------------------
 # Golden route
 # ---------------------------------------------------------------------------
@@ -294,3 +307,130 @@ def test_align_route_reuses_the_writers_it_is_given():
     assert kept and all(writer is writers[m] for m, writer in kept.items())
     assert align_route(tree, 3, writers=writers) == first == align_route(tree, 3)
     assert writers == kept
+
+
+# ---------------------------------------------------------------------------
+# Each step writes its node's molecule, once per (node, root)
+# ---------------------------------------------------------------------------
+
+
+def convergent_trees(count: int):
+    """The first `count` generated routes that duplicate a molecule."""
+    rng = random.Random(67)
+    trees = []
+    while len(trees) < count:
+        tree = to_tree(rand_route_record(rng, index=len(trees), convergence=0.3).route)
+        if tree.duplication_log:
+            trees.append(tree)
+    return trees
+
+
+def tree_nodes(tree):
+    nodes, stack = [], [tree.root]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        stack.extend(node.children)
+    return nodes
+
+
+def test_reference_corresponding_atom_transfers_by_rank():
+    a = mol("CCO")
+    b = mol("OCC")
+    assert reference_align.corresponding_atom(a, 2, b) == 0
+    assert reference_align.corresponding_atom(b, 0, a) == 2
+
+
+def test_reference_corresponding_atom_requires_same_structure():
+    with pytest.raises(ValueError):
+        reference_align.corresponding_atom(mol("CCO"), 0, mol("CCN"))
+
+
+def test_golden_alignment_matches_reference_from_every_heavy_atom():
+    tree = to_tree(golden.build_record().route)
+    for root in tree.root.molecule.heavy_atom_indices():
+        assert align_route(tree, root) == reference_align.align_route(tree, root)
+
+
+def test_augment_roots_matches_reference_on_convergent_routes():
+    for seed, tree in enumerate(convergent_trees(12)):
+        sequences = augment_roots(tree, 20, seed=seed)
+        assert len(sequences) == min(20, len(tree.root.molecule.heavy_atom_indices()))
+        assert sequences == [reference_align.align_route(tree, s.target_root) for s in sequences]
+
+
+def test_no_reaction_product_gets_a_writer(monkeypatch):
+    made = []
+
+    class SpyWriter(RootedWriter):
+        def __init__(self, m, **flags):
+            made.append(m)
+            super().__init__(m, **flags)
+
+    monkeypatch.setattr(align, "RootedWriter", SpyWriter)
+    trees = [to_tree(golden.build_record().route), *convergent_trees(4)]
+    for seed, tree in enumerate(trees):
+        made.clear()
+        augment_roots(tree, 20, seed=seed)
+        nodes = tree_nodes(tree)
+        # A node's molecule is the target or one of its parent's precursors.
+        molecules = {id(node.molecule) for node in nodes}
+        products = {id(node.reaction.product) for node in nodes if not node.is_leaf}
+        assert made and len({id(m) for m in made}) == len(made)
+        assert {id(m) for m in made} <= molecules
+        assert not {id(m) for m in made} & (products - molecules)
+
+
+def test_augment_roots_builds_each_node_and_root_step_once(monkeypatch):
+    built, renderings = [], []
+    real_step, real_linearize = align.AlignedStep, align.linearize_nodes
+
+    def counted_step(*fields):
+        built.append(fields)
+        return real_step(*fields)
+
+    def logged_linearize(tree, children):
+        visits = []
+        renderings.append(visits)
+
+        def logged(node):
+            ordered = children(node)
+            visits.append((node, ordered))
+            return ordered
+
+        return real_linearize(tree, logged)
+
+    monkeypatch.setattr(align, "AlignedStep", counted_step)
+    monkeypatch.setattr(align, "linearize_nodes", logged_linearize)
+    tree = convergent_trees(1)[0]
+    sequences = augment_roots(tree, 20, seed=5)
+    steps_by_pair: dict[tuple[int, int], set[int]] = {}
+    for sequence, visits in zip(sequences, renderings, strict=True):
+        roots = {tree.root.node_id: sequence.target_root}
+        for step, (node, ordered) in zip(sequence.steps, visits, strict=True):
+            steps_by_pair.setdefault((node.node_id, roots[node.node_id]), set()).add(id(step))
+            roots.update((child.node_id, r) for child, r in zip(ordered, step.inherited_roots))
+    assert len(built) == len(steps_by_pair) < sum(len(s.steps) for s in sequences)
+    assert all(len(ids) == 1 for ids in steps_by_pair.values())
+
+
+def test_product_lines_keep_the_stereo_marks_of_the_previous_precursor():
+    # Keys ignore stereo, so the step-2 product spelled [C@H] is paired with
+    # the step-1 precursor spelled [C@@H]; the product line is the latter.
+    esterify = Reaction.from_molecules(
+        mol("[CH3:1][O:2][C:3](=[O:4])[C@@H:5]([CH3:6])[NH2:7]"),
+        (mol("[OH:2][C:3](=[O:4])[C@@H:5]([CH3:6])[NH2:7]"), mol("[CH3:1]I")),
+    )
+    deprotect = Reaction.from_molecules(
+        mol("[OH:2][C:3](=[O:4])[C@H:5]([CH3:6])[NH2:7]"),
+        (mol("[OH:2][C:3](=[O:4])[C@H:5]([CH3:6])[NH:7]C(=O)OC(C)(C)C"),),
+    )
+    tree = tree_for("COC(=O)[C@@H](C)N", esterify, deprotect)
+    for root in range(len(tree.root.molecule.atoms)):
+        seq = align_route(tree, root)
+        assert seq.steps[0].product_text == write_rooted(tree.root.molecule, root)[0]
+        for previous, step in zip(seq.steps, seq.steps[1:]):
+            assert step.product_text in previous.precursor_texts
+    assert align_route(tree, 0).steps[1].product_text == "OC([C@@H](C)N)=O"
+    # Writing the reaction's own product gave the other spelling.
+    assert reference_align.align_route(tree, 0).steps[1].product_text == "OC([C@H](C)N)=O"

@@ -1197,7 +1197,8 @@ def test_score_reads_the_dataset_only_for_a_row_that_needs_it(work, tmp_path, ca
 
 
 # ---------------------------------------------------------------------------
-# eval and score read only a record's target, references and ref_depth
+# eval and score read only a record's target, references and ref_depth;
+# align and nld read only its target and reactions
 # ---------------------------------------------------------------------------
 
 _EVAL_ROW = _CLEAN_INPUTS["eval"]
@@ -1247,6 +1248,27 @@ def test_eval_and_score_do_not_read_reactions(tmp_path, capsys, reactions, needl
         assert _run(broken[command], capsys) == expected
     # The commands that read routes still reject the record.
     for command in ("ingest", "align", "nld"):
+        assert _run(broken[command], capsys)[:3] == (2, "", f"error: {needle}\n")
+
+
+@pytest.mark.parametrize(
+    "fault, needle",
+    [
+        ({"references": [["CCBr", "C1C"]]}, "record 0 reference 0: unclosed ring closure(s): [1]"),
+        ({"references": []}, "record 0: references must be a non-empty list of lists"),
+        ({"ref_depth": -1}, "record 0: ref_depth must be a non-negative integer"),
+    ],
+    ids=["unparsable-reference", "no-references", "negative-ref-depth"],
+)
+def test_align_and_nld_do_not_read_answers(tmp_path, capsys, fault, needle):
+    clean = _answers_commands(tmp_path, _CLEAN_INPUTS["dataset"], "clean")
+    broken = _answers_commands(tmp_path, dict(_CLEAN_INPUTS["dataset"], **fault), "broken")
+    for command in ("align", "nld"):
+        expected = _run(clean[command], capsys)
+        assert expected[0] == 0 and expected[2] == "" and expected[3]
+        assert _run(broken[command], capsys) == expected
+    # The commands that read answers still reject the record.
+    for command in ("ingest", "eval", "score"):
         assert _run(broken[command], capsys)[:3] == (2, "", f"error: {needle}\n")
 
 

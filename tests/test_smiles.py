@@ -30,7 +30,6 @@ from retroroute.smiles import (
     SmilesSyntaxError,
     canonical_key,
     canonical_ranks,
-    corresponding_atom,
     molecule_is_valid,
     parse_smiles,
     smiles_keys,
@@ -819,18 +818,6 @@ def test_key_is_an_immutable_text_identity():
     with pytest.raises(AttributeError):
         key.key = "CCN"
     assert key.key == "CCO"
-
-
-def test_corresponding_atom_transfers_by_rank():
-    a = one("CCO")
-    b = one("OCC")
-    assert corresponding_atom(a, 2, b) == 0
-    assert corresponding_atom(b, 0, a) == 2
-
-
-def test_corresponding_atom_requires_same_structure():
-    with pytest.raises(ValueError):
-        corresponding_atom(one("CCO"), 0, one("CCN"))
 
 
 # ---------------------------------------------------------------------------

@@ -180,11 +180,9 @@ def cmd_ingest(args: argparse.Namespace, config: PipelineConfig) -> int:
         if report.ok:
             continue
         failures += 1
-        for name in ("target_convergence", "grounding", "stepwise_linkage"):
-            check = getattr(report, name)
-            if not check.passed:
-                offenders = ", ".join(check.offenders)
-                print(f"route {record.index}: {name} failed: {offenders}")
+        for name, offenders in report._asdict().items():
+            if offenders:
+                print(f"route {record.index}: {name} failed: {', '.join(offenders)}")
     print(f"{len(records) - failures} routes ok, {failures} failed")
     return 1 if failures else 0
 

@@ -114,12 +114,14 @@ def parse_plan(
     delimiters: tuple[str, str] = DEFAULT_DELIMITERS,
 ) -> GeneratedPlan:
     """Split thought from answer, parse reaction lines, and reconstruct the
-    route. Unparsable products or an unlinkable graph leave parsed_route None;
-    bad precursors are dropped but their lines are recorded as failures."""
+    route. The thought runs from the first open mark to the first close mark
+    after it, so both marks may be one string. Unparsable products or an
+    unlinkable graph leave parsed_route None; bad precursors are dropped but
+    their lines are recorded as failures."""
     open_mark, close_mark = delimiters
     start = text.find(open_mark)
-    end = text.find(close_mark)
-    delimiters_ok = start != -1 and end != -1 and start < end
+    end = text.find(close_mark, start + len(open_mark)) if start != -1 else -1
+    delimiters_ok = end != -1
     if delimiters_ok:
         thought = text[start + len(open_mark) : end]
         answer = text[end + len(close_mark) :]

@@ -1,5 +1,5 @@
 """Retrosynthetic routes as DAGs: validation, tree decoupling, linearization,
-depth, dataset/stock persistence, and the readers that check every input.
+depth, dataset and stock reading, and the readers that check every input.
 
 A route is a set of reactions over molecules identified by canonical key.
 Edges run precursor -> product; the target is the unique sink. Convergent
@@ -121,23 +121,17 @@ class Route:
         return canonical_key(self.target)
 
 
-class CheckResult(NamedTuple):
-    passed: bool
-    offenders: tuple[str, ...] = ()
-
-
 class ValidationReport(NamedTuple):
-    target_convergence: CheckResult
-    grounding: CheckResult
-    stepwise_linkage: CheckResult
+    """The sorted offending keys of each check; a check passes when it has
+    none."""
+
+    target_convergence: tuple[str, ...]
+    grounding: tuple[str, ...]
+    stepwise_linkage: tuple[str, ...]
 
     @property
     def ok(self) -> bool:
-        return (
-            self.target_convergence.passed
-            and self.grounding.passed
-            and self.stepwise_linkage.passed
-        )
+        return not any(self)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +333,7 @@ def validate_route(route: Route, stock: frozenset[CanonicalKey]) -> ValidationRe
 
     return ValidationReport(
         *(
-            CheckResult(not offenders, tuple(sorted(set(offenders))))
+            tuple(sorted(set(offenders)))
             for offenders in (convergence_offenders, grounding_offenders, stepwise_offenders)
         )
     )
@@ -359,13 +353,11 @@ class RouteNode:
         molecule: Molecule,
         reaction: Reaction | None,
         children: tuple[RouteNode, ...],
-        depth: int,
     ) -> None:
         self.node_id = node_id
         self.molecule = molecule
         self.reaction = reaction
         self.children = children
-        self.depth = depth
 
     @property
     def is_leaf(self) -> bool:
@@ -374,7 +366,6 @@ class RouteNode:
 
 class RouteTree(NamedTuple):
     root: RouteNode
-    duplication_log: tuple[Molecule, ...]
 
 
 def to_tree(route: Route) -> RouteTree:
@@ -391,28 +382,17 @@ def to_tree(route: Route) -> RouteTree:
     # Preorder with an explicit stack: a node's id is its position in
     # `preorder`, and it joins its parent's children when it is taken.
     preorder: list[RouteNode] = []
-    occurrences: dict[CanonicalKey, list[RouteNode]] = {}
-    stack: list[tuple[Molecule, int, RouteNode | None]] = [(route.target, 0, None)]
+    stack: list[tuple[Molecule, RouteNode | None]] = [(route.target, None)]
     while stack:
-        molecule, depth, parent = stack.pop()
-        key = canonical_key(molecule)
-        node = RouteNode(len(preorder), molecule, route.producers.get(key), (), depth)
+        molecule, parent = stack.pop()
+        reaction = route.producers.get(canonical_key(molecule))
+        node = RouteNode(len(preorder), molecule, reaction, ())
         preorder.append(node)
-        occurrences.setdefault(key, []).append(node)
         if parent is not None:
             parent.children += (node,)
-        if node.reaction is not None:
-            stack.extend((m, depth + 1, node) for m in reversed(node.reaction.precursors))
-    root = preorder[0]
-
-    duplicates: list[tuple[str, int, int, Molecule]] = []
-    for key, nodes in occurrences.items():
-        if len(nodes) > 1:
-            ordered = sorted(nodes, key=lambda n: (n.depth, n.node_id))
-            for node in ordered[1:]:
-                duplicates.append((key.key, node.depth, node.node_id, node.molecule))
-    duplicates.sort(key=lambda item: (item[0], item[1], item[2]))
-    return RouteTree(root, tuple(m for *_, m in duplicates))
+        if reaction is not None:
+            stack.extend((m, node) for m in reversed(reaction.precursors))
+    return RouteTree(preorder[0])
 
 
 def linearize_nodes(
@@ -449,7 +429,7 @@ def route_depth(route: Route) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Dataset ingestion / persistence
+# Dataset ingestion
 # ---------------------------------------------------------------------------
 
 
@@ -521,11 +501,3 @@ def answers_by_target(path: str | Path) -> dict[CanonicalKey, tuple[tuple, int]]
     entries = enumerate(read_dataset(path))
     answers = (read_answers(raw, f"record {index}") for index, raw in entries)
     return {key: (references, ref_depth) for key, references, ref_depth in answers}
-
-
-def write_dataset(records: list[RouteRecord], path: str | Path) -> None:
-    """Persist records in the dataset schema. Inverse of ingest_dataset."""
-    payload = [record.raw for record in records]
-    Path(path).write_text(
-        json.dumps(payload, indent=1, sort_keys=True) + "\n", encoding="utf-8"
-    )

@@ -21,8 +21,8 @@ process reads and keys, and is never cleared. Hand-built Molecules neither
 read nor fill it. Each pool worker has its own copy.
 
 Shared atoms and counts: each bare organic-subset token (C, c, Cl, ...)
-parses to one frozen Atom shared by every molecule. Each atom's bond sum and
-hydrogen counts are set when a Molecule is built, parsed or by hand.
+parses to one frozen Atom shared by every molecule. Each atom's degree, bond
+sum and hydrogen counts are set when a Molecule is built, parsed or by hand.
 
 Bond table: a process-wide dict from (a, b, order, direction) to the frozen
 Bond parse_smiles gives every bond with those fields, so a parse allocates no
@@ -170,9 +170,6 @@ class Bond(NamedTuple):
     order: str
     direction: str | None = None
 
-    def other(self, i: int) -> int:
-        return self.b if i == self.a else self.a
-
 
 # (a, b, order, direction) -> the shared Bond parse_smiles gives it; see the
 # module docstring.
@@ -188,7 +185,8 @@ def _shared_bond(key: tuple[int, int, str, str | None]) -> Bond:
 
 class Molecule:
     """One connected molecular graph. Atom order follows the source token order.
-    Each atom's bond sum and hydrogen counts are set once, when it is built.
+    Each atom's degree, bond sum and hydrogen counts are set once, when it is
+    built.
     Equal only to itself. `_from_text` is set by parse_smiles only: the key of
     source_text may enter the key table."""
 
@@ -203,42 +201,22 @@ class Molecule:
         self.atoms = atoms
         self.bonds = bonds
         self.source_text = source_text
-        self._adjacency: tuple[tuple[Bond, ...], ...] | None = None
         self._ranks: tuple[int, ...] | None = None
         self._key = _key
         self._from_text = _from_text
+        degrees = [0] * len(atoms)
         sums = [0] * len(atoms)
         for a, b, order, _ in bonds:
             share = 1 if order == AROMATIC else BOND_CODE[order]
+            degrees[a] += 1
+            degrees[b] += 1
             sums[a] += share
             sums[b] += share
+        self._degrees = tuple(degrees)
         self._bond_sums = tuple(sums)
         self._implicit = tuple(map(_implicit_hydrogens, atoms, sums))
         pinned = [a.explicit_hydrogens for a in atoms]
         self._effective = tuple([h if p is None else p for p, h in zip(pinned, self._implicit)])
-
-    def __len__(self) -> int:
-        return len(self.atoms)
-
-    @property
-    def adjacency(self) -> tuple[tuple[Bond, ...], ...]:
-        if self._adjacency is None:
-            adj: list[list[Bond]] = [[] for _ in self.atoms]
-            for bond in self.bonds:
-                adj[bond.a].append(bond)
-                adj[bond.b].append(bond)
-            self._adjacency = tuple(tuple(row) for row in adj)
-        return self._adjacency
-
-    def degree(self, i: int) -> int:
-        return len(self.adjacency[i])
-
-    def implicit_hydrogens(self, i: int) -> int:
-        """Hydrogen count a bare rendering of atom i would imply."""
-        return self._implicit[i]
-
-    def effective_hydrogens(self, i: int) -> int:
-        return self._effective[i]
 
     def heavy_atom_indices(self) -> list[int]:
         return [i for i, a in enumerate(self.atoms) if a.element != "H"]
@@ -249,9 +227,6 @@ class CanonicalKey(NamedTuple):
     A named tuple, so dicts and sets of keys hash and compare it in C."""
 
     key: str
-
-    def __str__(self) -> str:  # pragma: no cover - debugging nicety
-        return self.key
 
 
 # Exact component text -> key; see the module docstring.
@@ -535,7 +510,7 @@ def canonical_ranks(m: Molecule) -> tuple[int, ...]:
     if not m.atoms:
         raise ValueError("cannot rank an empty molecule")
     n = len(m.atoms)
-    adjacency = m.adjacency
+    degrees = m._degrees
     # Every colour is below n, so code * n + colour sorts as (code, colour).
     # One pass over the bonds: a named tuple's fields are slower to read
     # than a plain object's, so each bond is read once.
@@ -551,7 +526,7 @@ def canonical_ranks(m: Molecule) -> tuple[int, ...]:
             atom.charge,
             atom.isotope or 0,
             atom.aromatic,
-            len(adjacency[i]),
+            degrees[i],
             m._effective[i],
         )
         by_seed.setdefault(seed, []).append(i)
@@ -655,8 +630,8 @@ class RootedWriter:
     token), sorted as plain tuples since ranks are distinct. The
     text and atom order written from each root are kept, so asking for the
     same root again costs a lookup. Tables and texts live as long as the
-    writer; nothing is stored on the Molecule beyond the canonical ranks and
-    adjacency that any writing computes.
+    writer; nothing is stored on the Molecule beyond the canonical ranks that
+    any writing computes.
     """
 
     def __init__(self, m: Molecule, *, include_maps: bool = False, include_stereo: bool = True):
@@ -831,8 +806,10 @@ def smiles_keys(text: str) -> list[CanonicalKey]:
 def molecule_is_valid(m: Molecule) -> bool:
     """Standard-valence check used for the invalid-reaction count.
 
-    Aromatic atoms receive a pi-bond contribution (carbon always one;
-    nitrogen/phosphorus/arsenic one when two-coordinate, pyridine style).
+    Aromatic atoms receive one pi-bond unit: carbon when none of its bonds is
+    double or triple (the C of c=O has its pi bond outside the ring);
+    nitrogen, phosphorus and arsenic when degree plus hydrogens is 2 plus the
+    charge (pyridine n, pyridinium [nH+] and [n+]C style).
     Element/charge combinations outside the tables pass by default.
     """
     for i, atom in enumerate(m.atoms):
@@ -841,12 +818,14 @@ def molecule_is_valid(m: Molecule) -> bool:
         if allowed is None:
             continue
         hydrogens = m._effective[i]
-        pi = 0
+        sigma = m._bond_sums[i]
+        pi = False
         if atom.aromatic:
+            degree = m._degrees[i]
             if element == "C":
-                pi = 1
-            elif element in ("N", "P", "As") and m.degree(i) + hydrogens == 2:
-                pi = 1
-        if m._bond_sums[i] + hydrogens + pi not in allowed:
+                pi = sigma == degree
+            elif element in ("N", "P", "As"):
+                pi = degree + hydrogens == 2 + atom.charge
+        if sigma + hydrogens + pi not in allowed:
             return False
     return True

@@ -7,7 +7,9 @@ every generated structure passes the valence check by construction.
 
 from __future__ import annotations
 
+import json
 import random
+from pathlib import Path
 
 from retroroute.routes import Reaction, Route, RouteRecord, route_depth
 from retroroute.smiles import (
@@ -148,7 +150,7 @@ def rand_smiles(rng: random.Random, **kwargs) -> str:
 def _free_slots(molecule: Molecule) -> list[int]:
     """Hydrogens available for replacement by new bonds, per atom."""
     return [
-        0 if atom.explicit_hydrogens is not None else molecule.implicit_hydrogens(i)
+        0 if atom.explicit_hydrogens is not None else molecule._implicit[i]
         for i, atom in enumerate(molecule.atoms)
     ]
 
@@ -313,6 +315,12 @@ def record_raw(route: Route, references) -> dict:
         "references": [sorted(key.key for key in group) for group in references],
         "ref_depth": route_depth(route),
     }
+
+
+def write_dataset(records: list[RouteRecord], path: str | Path) -> None:
+    """Persist records in the dataset schema, the inverse of ingest_dataset."""
+    payload = [record.raw for record in records]
+    Path(path).write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def rand_dataset(

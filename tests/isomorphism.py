@@ -6,19 +6,20 @@ equality can be compared against it.
 
 from __future__ import annotations
 
-from retroroute.smiles import BOND_CODE, Molecule
+from molgraph import incidence, other
+from retroroute.smiles import BOND_CODE, Bond, Molecule
 
 
-def _node_invariant(m: Molecule, i: int) -> tuple:
+def _node_invariant(m: Molecule, adjacency: list[list[Bond]], i: int) -> tuple:
     atom = m.atoms[i]
     return (
         atom.element,
         atom.charge,
         atom.isotope or 0,
         atom.aromatic,
-        m.effective_hydrogens(i),
-        m.degree(i),
-        tuple(sorted(BOND_CODE[bond.order] for bond in m.adjacency[i])),
+        m._effective[i],
+        len(adjacency[i]),
+        tuple(sorted(BOND_CODE[bond.order] for bond in adjacency[i])),
     )
 
 
@@ -28,8 +29,9 @@ def is_isomorphic(a: Molecule, b: Molecule) -> bool:
     n = len(a.atoms)
     if n != len(b.atoms) or len(a.bonds) != len(b.bonds):
         return False
-    inv_a = [_node_invariant(a, i) for i in range(n)]
-    inv_b = [_node_invariant(b, i) for i in range(n)]
+    adj_a, adj_b = incidence(a), incidence(b)
+    inv_a = [_node_invariant(a, adj_a, i) for i in range(n)]
+    inv_b = [_node_invariant(b, adj_b, i) for i in range(n)]
     if sorted(inv_a) != sorted(inv_b):
         return False
 
@@ -38,11 +40,11 @@ def is_isomorphic(a: Molecule, b: Molecule) -> bool:
     seen = {0}
     cursor = 0
     while cursor < len(order):
-        for bond in a.adjacency[order[cursor]]:
-            other = bond.other(order[cursor])
-            if other not in seen:
-                seen.add(other)
-                order.append(other)
+        for bond in adj_a[order[cursor]]:
+            end = other(bond, order[cursor])
+            if end not in seen:
+                seen.add(end)
+                order.append(end)
         cursor += 1
     if len(order) != n:
         raise ValueError("molecule graph is not connected")
@@ -50,32 +52,34 @@ def is_isomorphic(a: Molecule, b: Molecule) -> bool:
     mapping: dict[int, int] = {}
     reverse: dict[int, int] = {}
 
-    def edges_to_mapped(m_: Molecule, i: int, placed: dict[int, int]) -> list[tuple[int, str]]:
+    def edges_to_mapped(
+        adjacency: list[list[Bond]], i: int, placed: dict[int, int]
+    ) -> list[tuple[int, str]]:
         return [
-            (placed[bond.other(i)], bond.order)
-            for bond in m_.adjacency[i]
-            if bond.other(i) in placed
+            (placed[other(bond, i)], bond.order)
+            for bond in adjacency[i]
+            if other(bond, i) in placed
         ]
 
     def extend(k: int) -> bool:
         if k == n:
             return True
         u = order[k]
-        required = sorted(edges_to_mapped(a, u, mapping))
+        required = sorted(edges_to_mapped(adj_a, u, mapping))
         if required:
             anchor_image, _ = required[0]
-            candidates = [bond.other(anchor_image) for bond in b.adjacency[anchor_image]]
+            candidates = [other(bond, anchor_image) for bond in adj_b[anchor_image]]
         else:
             candidates = range(n)
         for v in candidates:
             if v in reverse or inv_b[v] != inv_a[u]:
                 continue
             if sorted((mapping[x], o) for x, o in (
-                (bond.other(u), bond.order) for bond in a.adjacency[u]
+                (other(bond, u), bond.order) for bond in adj_a[u]
             ) if x in mapping) != sorted(
                 (x2, o2)
                 for x2, o2 in (
-                    (bond.other(v), bond.order) for bond in b.adjacency[v]
+                    (other(bond, v), bond.order) for bond in adj_b[v]
                 )
                 if x2 in reverse
             ):

@@ -7,6 +7,7 @@ that canonical_ranks gives the same tuple as canonical_ranks here.
 
 from __future__ import annotations
 
+from molgraph import incidence, other
 from retroroute.smiles import BOND_CODE, Molecule
 
 
@@ -16,7 +17,7 @@ def _dense_rank(keys: list) -> list[int]:
 
 
 def _refine(m: Molecule, colors: list[int]) -> list[int]:
-    adjacency = m.adjacency
+    adjacency = incidence(m)
     n_colors = len(set(colors))
     while True:
         signatures = [
@@ -24,7 +25,7 @@ def _refine(m: Molecule, colors: list[int]) -> list[int]:
                 colors[i],
                 tuple(
                     sorted(
-                        (BOND_CODE[bond.order], colors[bond.other(i)])
+                        (BOND_CODE[bond.order], colors[other(bond, i)])
                         for bond in adjacency[i]
                     )
                 ),
@@ -48,14 +49,15 @@ def canonical_ranks(m: Molecule) -> tuple[int, ...]:
     """
     if not m.atoms:
         raise ValueError("cannot rank an empty molecule")
+    adjacency = incidence(m)
     seeds = [
         (
             atom.element,
             atom.charge,
             atom.isotope or 0,
             atom.aromatic,
-            m.degree(i),
-            m.effective_hydrogens(i),
+            len(adjacency[i]),
+            m._effective[i],
         )
         for i, atom in enumerate(m.atoms)
     ]

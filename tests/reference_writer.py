@@ -8,6 +8,7 @@ every root under every include flag.
 
 from __future__ import annotations
 
+from molgraph import incidence, other
 from retroroute.smiles import (
     DOUBLE,
     ORGANIC_SUBSET,
@@ -21,7 +22,7 @@ from retroroute.smiles import (
 
 def _atom_token(m: Molecule, i: int, include_maps: bool, include_stereo: bool) -> str:
     atom = m.atoms[i]
-    effective = m.effective_hydrogens(i)
+    effective = m._effective[i]
     bare_allowed = (
         atom.element in ORGANIC_SUBSET
         and atom.charge == 0
@@ -29,7 +30,7 @@ def _atom_token(m: Molecule, i: int, include_maps: bool, include_stereo: bool) -
         and (atom.map_number is None or not include_maps)
         and (atom.chirality is None or not include_stereo)
         and (not atom.aromatic or atom.element in ("B", "C", "N", "O", "P", "S"))
-        and effective == m.implicit_hydrogens(i)
+        and effective == m._implicit[i]
     )
     symbol = atom.element.lower() if atom.aromatic else atom.element
     if bare_allowed:
@@ -96,9 +97,9 @@ def write_rooted(
     if not 0 <= root < n:
         raise IndexError(f"root {root} out of range for {n} atoms")
     ranks = canonical_ranks(m)
-    adjacency = m.adjacency
+    adjacency = incidence(m)
     ordered_bonds = [
-        sorted(adjacency[i], key=lambda bond: ranks[bond.other(i)]) for i in range(n)
+        sorted(adjacency[i], key=lambda bond: ranks[other(bond, i)]) for i in range(n)
     ]
 
     # First traversal: spanning tree and ring (back) edges in discovery order.
@@ -125,15 +126,15 @@ def write_rooted(
             k = bond_index[id(bond)]
             if used[k]:
                 continue
-            other = bond.other(current)
-            if not visited[other]:
+            end = other(bond, current)
+            if not visited[end]:
                 used[k] = True
-                visited[other] = True
-                position[other] = len(atom_order)
-                atom_order.append(other)
+                visited[end] = True
+                position[end] = len(atom_order)
+                atom_order.append(end)
                 tree_children[current].append(bond)
                 stack[-1] = (current, cursor)
-                stack.append((other, 0))
+                stack.append((end, 0))
                 advanced = True
                 break
             used[k] = True
@@ -174,8 +175,8 @@ def write_rooted(
         children = tree_children[atom]
         if children:
             bond = children[-1]
-            stack.append((_bond_token(m, bond, include_stereo), bond.other(atom)))
+            stack.append((_bond_token(m, bond, include_stereo), other(bond, atom)))
             for bond in reversed(children[:-1]):
                 stack.append(")")
-                stack.append(("(" + _bond_token(m, bond, include_stereo), bond.other(atom)))
+                stack.append(("(" + _bond_token(m, bond, include_stereo), other(bond, atom)))
     return "".join(pieces), atom_order

@@ -20,14 +20,14 @@ from pathlib import Path
 
 import golden
 import retroroute
-from generators import rand_dataset, rand_molecule, rand_route_record
+from generators import rand_dataset, rand_molecule, rand_route_record, write_dataset
 from isomorphism import is_isomorphic
 from retroroute.align import align_route, default_root, render_sequence
 from retroroute.cli import main
 from retroroute.consensus import SlateEntry, vote
 from retroroute.evaluate import levenshtein, nld_profile
 from retroroute.reward import RewardConfig, jaccard, parse_plan, score_plan
-from retroroute.routes import linearize_nodes, route_depth, to_tree, write_dataset
+from retroroute.routes import linearize_nodes, route_depth, to_tree
 from retroroute.smiles import canonical_key, parse_smiles, write_rooted
 
 TOL = 1e-12

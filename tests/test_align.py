@@ -320,7 +320,8 @@ def convergent_trees(count: int):
     trees = []
     while len(trees) < count:
         tree = to_tree(rand_route_record(rng, index=len(trees), convergence=0.3).route)
-        if tree.duplication_log:
+        keys = [canonical_key(node.molecule) for node in tree_nodes(tree)]
+        if len(set(keys)) < len(keys):
             trees.append(tree)
     return trees
 

@@ -26,12 +26,12 @@ from hypothesis import strategies as st
 
 import golden
 import retroroute.cli
-from generators import rand_dataset
+from generators import rand_dataset, write_dataset
 from retroroute.align import align_route, default_root, render_sequence
 from retroroute.cli import PipelineConfig, load_config, main
 from retroroute.evaluate import depth_bucket
 from retroroute.reward import RewardConfig
-from retroroute.routes import ingest_dataset, linearize_nodes, to_tree, write_dataset
+from retroroute.routes import ingest_dataset, linearize_nodes, to_tree
 from retroroute.smiles import canonical_key
 from test_evaluate import oracle_levenshtein
 

@@ -13,7 +13,6 @@ from retroroute.consensus import RankedCandidate, RankingPair, SlateEntry
 from retroroute.evaluate import EvalCandidate, EvalRecord, EvalReport
 from retroroute.reward import GeneratedPlan, PlanLineIssue, PlanScore, RewardConfig
 from retroroute.routes import (
-    CheckResult,
     Reaction,
     Route,
     RouteNode,
@@ -33,15 +32,13 @@ from retroroute.smiles import (
 )
 
 _KEY = CanonicalKey("CCO")
-_PASSED = CheckResult(True)
 _ENTRY = SlateEntry("a", frozenset({_KEY}), 1)
 _ETHANOL = parse_smiles("CCO")[0]
 _ROUTE = Route.build(_ETHANOL, ())
 
 # One record of each kind and one of its fields.
 RECORDS = [
-    (_PASSED, "offenders"),
-    (ValidationReport(_PASSED, _PASSED, _PASSED), "grounding"),
+    (ValidationReport((), ("CCO",), ()), "grounding"),
     (AlignedStep("CCO", ("CC", "O"), (0.0, 2.0), (0, 0)), "precursor_texts"),
     (AlignedSequence((), 0), "target_root"),
     (_ENTRY, "depth"),
@@ -55,7 +52,7 @@ RECORDS = [
     (PlanScore(0.0, False, None, None, None, None, None), "total"),
     (GeneratedPlan("CCO>>C", None, "CCO>>C", None, (), False), "parsed_route"),
     (RouteRecord(_ROUTE, (frozenset({_KEY}),), 0, 0, {"target": "CCO"}), "references"),
-    (RouteTree(RouteNode(0, _ETHANOL, None, (), 0), ()), "duplication_log"),
+    (RouteTree(RouteNode(0, _ETHANOL, None, ())), "root"),
     (PipelineConfig(), "workers"),
     (Atom("C"), "charge"),
     (Bond(0, 1, SINGLE), "order"),
@@ -81,7 +78,6 @@ def test_atoms_and_bonds_compare_and_hash_by_value():
     assert hash(bond) == hash((0, 1, SINGLE, None))
     assert hash(Atom("C")) == hash(("C", False, 0, None, None, None, None))
     assert bond._replace(order=DOUBLE) == Bond(0, 1, DOUBLE) and bond.order == SINGLE
-    assert bond.other(0) == 1 and bond.other(1) == 0
 
 
 def test_graph_objects_built_from_equal_fields_stay_distinct():
@@ -90,7 +86,7 @@ def test_graph_objects_built_from_equal_fields_stay_distinct():
         (Molecule(m.atoms, m.bonds, "CCO"), Molecule(m.atoms, m.bonds, "CCO")),
         (Reaction(m, (m,), ({},)), Reaction(m, (m,), ({},))),
         (Route.build(m, ()), Route.build(m, ())),
-        (RouteNode(0, m, None, (), 0), RouteNode(0, m, None, (), 0)),
+        (RouteNode(0, m, None, ()), RouteNode(0, m, None, ())),
     ]
     for first, second in pairs:
         assert first == first and first != second

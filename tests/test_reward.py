@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from generators import rand_dataset, rand_route_record
+from generators import rand_dataset, rand_route_record, write_dataset
 from retroroute import reward, routes, smiles
 from retroroute.align import align_route, render_sequence
 from retroroute.cli import main
@@ -25,7 +25,7 @@ from retroroute.reward import (
     score_plan,
     weighted_loss,
 )
-from retroroute.routes import route_depth, to_tree, write_dataset
+from retroroute.routes import route_depth, to_tree
 from retroroute.smiles import canonical_key, parse_smiles
 
 TOL = 1e-12
@@ -142,6 +142,24 @@ def test_parse_missing_delimiters_still_reads_answer():
 def test_parse_delimiters_out_of_order():
     plan = parse_plan("</think>x<think>\nCCO>>CC=O", mol("CCO"))
     assert not plan.delimiters_ok
+
+
+def test_parse_finds_the_close_mark_after_the_open_mark():
+    # A stray close mark before the pair hides nothing.
+    plan = parse_plan("</think>x<think>hm</think>\nCCO>>CC=O", mol("CCO"))
+    assert plan.delimiters_ok and plan.thought_segment == "hm"
+    assert plan.parse_failures == ()
+
+
+def test_parse_identical_open_and_close_marks():
+    plan = parse_plan("###hm###\nCCO>>CC=O.O", mol("CCO"), ("###", "###"))
+    assert plan.delimiters_ok and plan.thought_segment == "hm"
+    assert plan.parse_failures == () and plan.parsed_route is not None
+    # The format bonus is paid under a strict config.
+    score = score_plan(plan, [keys_of("CC=O", "O")], 1, RewardConfig(strict_format=True))
+    assert score.format_applied is True
+    assert math.isclose(score.total, 2.0, abs_tol=TOL)
+    assert not parse_plan("###hm\nCCO>>CC=O", mol("CCO"), ("###", "###")).delimiters_ok
 
 
 def test_parse_custom_delimiters():
@@ -343,6 +361,14 @@ def test_score_perfect_exact_match():
     assert score.exact is True
     assert score.penalty == 0.0
     assert score.depth_excess == 0
+
+
+def test_score_exact_plan_with_an_aromatic_carbonyl_has_no_invalid_line():
+    # 2-pyridone: an aromatic C=O carbon and an [nH] pass the valence check.
+    plan = parse_plan(wrapped("O=c1cccc[nH]1>>Oc1ccccn1"), mol("O=c1cccc[nH]1"))
+    score = score_plan(plan, [keys_of("Oc1ccccn1")], 1)
+    assert score.exact is True and score.invalid_lines == 0
+    assert math.isclose(score.total, 2.0, abs_tol=TOL)
 
 
 def test_score_exact_with_two_invalid_lines_and_one_extra_depth():

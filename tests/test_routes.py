@@ -10,12 +10,11 @@ import sys
 import pytest
 
 import golden
-from generators import rand_dataset, rand_route_record
+from generators import rand_dataset, rand_route_record, write_dataset
 from retroroute.errors import CycleError, RouteError, SchemaError
 from retroroute.routes import (
     Reaction,
     Route,
-    RouteRecord,
     answers_by_target,
     ingest_dataset,
     linearize_nodes,
@@ -23,7 +22,6 @@ from retroroute.routes import (
     route_depth,
     to_tree,
     validate_route,
-    write_dataset,
 )
 from retroroute.smiles import canonical_key, parse_smiles
 
@@ -128,53 +126,45 @@ def test_validate_one_step_all_pass():
     r = route("CC(=O)OCC", rxn("CC(=O)OCC", "CC(=O)O", "CCO"))
     report = validate_route(r, stock_of("CC(=O)O", "CCO"))
     assert report.ok
-    assert report.target_convergence.passed
-    assert report.grounding.passed
-    assert report.stepwise_linkage.passed
+    assert report == ((), (), ())
 
 
 def test_validate_missing_stock_names_the_leaf():
     r = route("CC(=O)OCC", rxn("CC(=O)OCC", "CC(=O)O", "CCO"))
     report = validate_route(r, stock_of("CC(=O)O"))
     assert not report.ok
-    assert not report.grounding.passed
-    assert report.grounding.offenders == (key("CCO").key,)
-    assert report.target_convergence.passed
+    assert report.grounding == (key("CCO").key,)
+    assert report.target_convergence == ()
 
 
 def test_validate_target_must_not_be_consumed():
     r = route("CCO", rxn("CCO", "CC=O"), rxn("CC=O", "CCO", "O=O"))
     report = validate_route(r, stock_of("CCO", "O=O"))
-    assert not report.target_convergence.passed
-    assert key("CCO").key in report.target_convergence.offenders
+    assert key("CCO").key in report.target_convergence
 
 
 def test_validate_unproduced_target_fails_convergence():
     r = Route.build(mol("CCCCCC"), (rxn("CCO", "CC=O"),))
     report = validate_route(r, stock_of("CC=O"))
-    assert not report.target_convergence.passed
-    assert key("CCCCCC").key in report.target_convergence.offenders
+    assert key("CCCCCC").key in report.target_convergence
 
 
 def test_validate_extra_sink_fails_convergence():
     r = route("CCO", rxn("CCO", "CC=O"), rxn("CCCCO", "CCCC=O"))
     report = validate_route(r, stock_of("CC=O", "CCCC=O"))
-    assert not report.target_convergence.passed
-    assert report.target_convergence.offenders == (key("CCCCO").key,)
+    assert report.target_convergence == (key("CCCCO").key,)
 
 
 def test_validate_duplicate_producer_fails_stepwise():
     r = Route.build(mol("CCO"), (rxn("CCO", "CC=O"), rxn("CCO", "CCBr")))
     report = validate_route(r, stock_of("CC=O", "CCBr"))
-    assert not report.stepwise_linkage.passed
-    assert key("CCO").key in report.stepwise_linkage.offenders
+    assert key("CCO").key in report.stepwise_linkage
 
 
 def test_validate_cycle_fails_stepwise():
     r = Route.build(mol("CCO"), (rxn("CCO", "CC=O"), rxn("CC=O", "CCO")))
     report = validate_route(r, stock_of("CCO"))
-    assert not report.stepwise_linkage.passed
-    assert set(report.stepwise_linkage.offenders) == {key("CCO").key, key("CC=O").key}
+    assert set(report.stepwise_linkage) == {key("CCO").key, key("CC=O").key}
 
 
 def test_validate_golden_route_against_its_leaves():
@@ -187,7 +177,7 @@ def test_validate_golden_route_against_its_leaves():
 def test_validate_empty_route_grounds_on_target():
     r = route("CCO")
     assert validate_route(r, stock_of("CCO")).ok
-    assert not validate_route(r, stock_of("CCN")).grounding.passed
+    assert validate_route(r, stock_of("CCN")).grounding
 
 
 # ---------------------------------------------------------------------------
@@ -197,11 +187,8 @@ def test_validate_empty_route_grounds_on_target():
 
 def test_tree_linear_route_shape():
     r = route("CCCO", rxn("CCCO", "CCC=O"), rxn("CCC=O", "CCC", "O=O"))
-    tree = to_tree(r)
-    assert tree.duplication_log == ()
-    root = tree.root
-    assert root.depth == 0 and not root.is_leaf
-    assert [c.depth for c in root.children] == [1]
+    root = to_tree(r).root
+    assert not root.is_leaf and len(root.children) == 1
     grand = root.children[0].children
     assert [canonical_key(n.molecule) for n in grand] == [key("CCC"), key("O=O")]
     assert all(n.is_leaf for n in grand)
@@ -230,35 +217,22 @@ def test_tree_duplicates_convergent_intermediate():
     )
     tree = to_tree(diamond)
     # CCO appears under both branches; so does its leaf CC=O.
-    logged = [canonical_key(m) for m in tree.duplication_log]
-    assert logged.count(key("CCO")) == 1
-    assert logged.count(key("CC=O")) == 1
-    assert len(tree.duplication_log) == 2
-    # Both occurrences of CCO are expanded identically.
+    keys = []
     occurrences = []
 
     def walk(node):
-        if canonical_key(node.molecule) == key("CCO"):
+        keys.append(canonical_key(node.molecule))
+        if keys[-1] == key("CCO"):
             occurrences.append(node)
         for child in node.children:
             walk(child)
 
     walk(tree.root)
+    assert len(keys) == 7 and keys.count(key("CC=O")) == 2
+    # Both occurrences of CCO are expanded identically.
     assert len(occurrences) == 2
     for node in occurrences:
         assert [canonical_key(c.molecule) for c in node.children] == [key("CC=O")]
-
-
-def test_tree_duplication_log_orders_by_key_then_depth():
-    r = route(
-        "CCCOC",
-        rxn("CCCOC", "CCCO", "COC"),
-        rxn("CCCO", "O", "CC"),
-        rxn("COC", "O", "CC"),
-    )
-    tree = to_tree(r)
-    logged = [canonical_key(m).key for m in tree.duplication_log]
-    assert logged == sorted(logged)
 
 
 def test_tree_rejects_cycles_and_duplicate_producers():
@@ -284,7 +258,7 @@ def test_first_molecule_made_twice_is_named_and_all_are_listed():
         to_tree(r)
     assert str(raised.value) == f"molecule {key('CCO').key} has more than one producing reaction"
     report = validate_route(r, stock_of("CC=O", "CCC=O", "CCCBr", "CCBr"))
-    assert report.stepwise_linkage.offenders == tuple(sorted([key("CCO").key, key("CCCO").key]))
+    assert report.stepwise_linkage == tuple(sorted([key("CCO").key, key("CCCO").key]))
 
 
 def test_linearize_main_chain_before_branches():

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import golden
+import molgraph
 from generators import rand_molecule, rand_smiles
 from isomorphism import is_isomorphic
 from reference_ranks import canonical_ranks as reference_ranks
@@ -122,7 +123,7 @@ def test_parse_aromatic_bare_atoms():
     assert all(a.aromatic for a in m.atoms)
     assert m.atoms[3].element == "S"
     # Bare aromatic S carries no implicit hydrogens.
-    assert m.effective_hydrogens(3) == 0
+    assert m._effective[3] == 0
 
 
 def test_parse_directional_bonds_kept():
@@ -136,7 +137,7 @@ def test_parse_directional_bonds_kept():
 def test_parse_chirality_kept():
     m = one("N[C@@H](C)C(=O)O")
     assert m.atoms[1].chirality == "@@"
-    assert m.effective_hydrogens(1) == 1
+    assert m._effective[1] == 1
 
 
 def test_parse_ring_bond_order_from_either_end():
@@ -295,9 +296,9 @@ _VALENCES = {"B": (3,), "C": (4,), "N": (3, 5), "O": (2,), "P": (3, 5), "S": (2,
 _VALENCES |= {halogen: (1,) for halogen in ("F", "Cl", "Br", "I")}
 
 
-def walked_counts(m: Molecule) -> list[tuple[int, int, int]]:
-    """(bond sum, implicit, effective hydrogens) of each atom, found by
-    walking every bond for every atom."""
+def walked_counts(m: Molecule) -> list[tuple[int, int, int, int]]:
+    """(degree, bond sum, implicit, effective hydrogens) of each atom, found
+    by walking every bond for every atom."""
     rows = []
     for i, atom in enumerate(m.atoms):
         orders = [b.order for b in m.bonds if i in (b.a, b.b)]
@@ -307,7 +308,7 @@ def walked_counts(m: Molecule) -> list[tuple[int, int, int]]:
         else:
             implicit = next((v - sigma for v in _VALENCES.get(atom.element, ()) if v >= sigma), 0)
         explicit = atom.explicit_hydrogens
-        rows.append((sigma, implicit, implicit if explicit is None else explicit))
+        rows.append((len(orders), sigma, implicit, implicit if explicit is None else explicit))
     return rows
 
 
@@ -325,7 +326,7 @@ def test_counts_set_at_build_time_equal_a_walk_over_the_bonds():
     molecules.append(Molecule(ring, tuple(Bond(i, (i + 1) % 5, AROMATIC) for i in range(5))))
     for m in molecules:
         counts = [
-            (m._bond_sums[i], m.implicit_hydrogens(i), m.effective_hydrogens(i))
+            (m._degrees[i], m._bond_sums[i], m._implicit[i], m._effective[i])
             for i in range(len(m.atoms))
         ]
         assert counts == walked_counts(m), m.source_text
@@ -364,7 +365,7 @@ def test_write_rooted_starts_at_root():
 def test_write_rooted_boc_piperidine_at_ring_nitrogen():
     m = one("CC(C)(C)OC(=O)N1CCC(c2ccc(N)cc2)CC1")
     ring_n = next(
-        i for i, a in enumerate(m.atoms) if a.element == "N" and m.degree(i) == 3
+        i for i, a in enumerate(m.atoms) if a.element == "N" and m._degrees[i] == 3
     )
     text, order = write_rooted(m, ring_n)
     assert text.startswith("N1(")
@@ -544,7 +545,7 @@ def test_mutating_a_returned_order_does_not_change_the_next_result():
     assert write_rooted(m, 7)[1] == expected
 
 
-def test_writing_and_keying_attach_no_state_beyond_ranks_adjacency_and_key():
+def test_writing_and_keying_attach_no_state_beyond_ranks_and_key():
     for text in golden.all_box_smiles() + DECORATED:
         m = one(text)
         m._key = None
@@ -556,7 +557,7 @@ def test_writing_and_keying_attach_no_state_beyond_ranks_adjacency_and_key():
         after = vars(m)
         assert after.keys() == before.keys()
         changed = {name for name in after if after[name] is not before[name]}
-        assert changed == {"_ranks", "_adjacency", "_key"}
+        assert changed == {"_ranks", "_key"}
 
 
 def test_bracket_table_keeps_only_successful_parses():
@@ -652,9 +653,9 @@ def _on_ring(m: Molecule, k: int) -> bool:
     while stack:
         i = stack.pop()
         for j, other in enumerate(m.bonds):
-            if j != k and i in (other.a, other.b) and other.other(i) not in seen:
-                seen.add(other.other(i))
-                stack.append(other.other(i))
+            if j != k and i in (other.a, other.b) and molgraph.other(other, i) not in seen:
+                seen.add(molgraph.other(other, i))
+                stack.append(molgraph.other(other, i))
     return bond.b in seen
 
 
@@ -731,9 +732,9 @@ def cubic_cage(rng: random.Random, size: int) -> Molecule:
         if len(pairs) < len(stubs) // 2 or any(a == b for a, b in pairs):
             continue
         m = Molecule(tuple(Atom("C") for _ in range(size)), tuple(Bond(a, b, SINGLE) for a, b in pairs))
-        reached, frontier = {0}, [0]
+        adjacency, reached, frontier = molgraph.incidence(m), {0}, [0]
         while frontier:
-            for bond in m.adjacency[frontier.pop()]:
+            for bond in adjacency[frontier.pop()]:
                 for j in (bond.a, bond.b):
                     if j not in reached:
                         reached.add(j)
@@ -904,6 +905,22 @@ def test_valid_box_strings():
         ("[Cl-]", True),
         ("[Cl-]C", False),
         ("[U]CC", True),  # outside the tables: accepted, never penalized
+        # An aromatic carbon counts a pi unit only without a double bond, and
+        # an aromatic N when degree plus hydrogens is 2 plus its charge.
+        ("Cn1c(=O)c2c(ncn2C)n(C)c1=O", True),  # caffeine
+        ("O=c1cc[nH]c(=O)[nH]1", True),  # uracil
+        ("O=c1cccc[nH]1", True),  # 2-pyridone
+        ("c1ccc2c(c1)ccc(=O)o2", True),  # coumarin
+        ("[O-][n+]1ccccc1", True),  # pyridine N-oxide
+        ("c1cc[nH+]cc1", True),  # pyridinium
+        ("C[n+]1ccccc1", True),  # N-methylpyridinium
+        ("c1nn[n-]n1", True),  # tetrazolide
+        ("c1ccncc1", True),
+        ("c1cc[nH]c1", True),
+        ("c1ccccc1", True),
+        ("c1cc[n+]cc1", False),  # a cationic ring N with no fourth bond
+        ("O=n1ccccc1", False),  # an N-oxide written without its charges
+        ("Cc1(C)ccccc1", False),  # a four-coordinate aromatic carbon
     ],
 )
 def test_validity_table(text, expected):
@@ -930,7 +947,7 @@ def test_lone_atom_is_written_bare_exactly_when_the_parser_reads_it_back():
     atoms = [Atom(e, aromatic=flag) for e in sorted(smiles.ELEMENTS) for flag in (False, True)]
     atoms += [Atom("c"), Atom("c", aromatic=True), Atom("Se", aromatic=True)]
     for atom in atoms:
-        implicit = Molecule((atom,), ()).implicit_hydrogens(0)
+        implicit = Molecule((atom,), ())._implicit[0]
         symbol = atom.element.lower() if atom.aromatic else atom.element
         bare = smiles._BARE_ATOMS.get(symbol)
         expected = bare is not None and (bare.element, bare.aromatic) == (atom.element, atom.aromatic)

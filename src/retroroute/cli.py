@@ -80,14 +80,11 @@ _CONFIG_TYPES = {
     "workers": (int,),
     "strict_delimiters": (bool,),
 }
+# The top-level strict_delimiters key sets strict_format.
 _REWARD_TYPES = {
-    "format_score": _NUMBER,
-    "exact_weight": _NUMBER,
-    "similarity_weight": _NUMBER,
-    "invalid_weight": _NUMBER,
-    "depth_weight": _NUMBER,
-    "invalid_cap": (int,),
-    "depth_cap": (int,),
+    name: _NUMBER if type(default) is float else (int,)
+    for name, default in RewardConfig._field_defaults.items()
+    if name != "strict_format"
 }
 
 

@@ -23,6 +23,3 @@ class CycleError(RouteError):
 class ConfigError(ValueError):
     """A configuration violates its invariants."""
 
-
-class DomainError(ValueError):
-    """A numeric argument is outside its documented domain."""

@@ -40,10 +40,10 @@ def is_success(
     ref_depth: int,
 ) -> bool:
     """A candidate solves the target when its leaf set equals some reference
-    set and it is no deeper than the reference route."""
+    set (a frozenset) and it is no deeper than the reference route."""
     if candidate_depth > ref_depth:
         return False
-    return any(candidate_set == frozenset(ref) for ref in references)
+    return candidate_set in references
 
 
 def depth_bucket(ref_depth: int) -> str:

@@ -13,7 +13,7 @@ import functools
 import math
 from typing import NamedTuple, Sequence
 
-from .errors import ConfigError, DomainError, SmilesSyntaxError
+from .errors import ConfigError, SmilesSyntaxError
 from .routes import Reaction, Route, route_depth
 from .smiles import (
     CanonicalKey,
@@ -256,7 +256,8 @@ def score_plan(
     ref_depth: int,
     config: RewardConfig = RewardConfig(),
 ) -> PlanScore:
-    """Score one plan against reference leaf sets at a reference depth."""
+    """Score one plan against reference leaf sets (frozensets, as the
+    readers return them) at a reference depth."""
     config.validate()
     if not references:
         raise ValueError("at least one reference leaf set is required")
@@ -264,8 +265,8 @@ def score_plan(
         return PlanScore(0.0, False, None, None, None, None, None)
 
     leaves = plan.parsed_route.stock_refs
-    similarity = max(jaccard(leaves, frozenset(ref)) for ref in references)
-    exact = any(leaves == frozenset(ref) for ref in references)
+    similarity = max(jaccard(leaves, ref) for ref in references)
+    exact = leaves in references
 
     format_applied = plan.delimiters_ok if config.strict_format else True
     total = config.format_score if format_applied else 0.0
@@ -289,9 +290,3 @@ def score_plan(
         penalty=penalty,
     )
 
-
-def weighted_loss(thought_loss: float, answer_loss: float, alpha: float) -> float:
-    """Convex blend of the two segment losses."""
-    if not 0.0 <= alpha <= 1.0:
-        raise DomainError(f"alpha must lie in [0, 1], got {alpha}")
-    return alpha * thought_loss + (1.0 - alpha) * answer_loss

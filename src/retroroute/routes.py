@@ -434,13 +434,10 @@ def route_depth(route: Route) -> int:
 
 
 class RouteRecord(NamedTuple):
-    """One dataset entry: the route plus its reference answer sets."""
+    """One dataset entry's route and its position in the file."""
 
     route: Route
-    references: tuple[frozenset[CanonicalKey], ...]
-    ref_depth: int
     index: int
-    raw: dict
 
 
 def read_answers(raw, where: str) -> tuple[CanonicalKey, tuple[frozenset[CanonicalKey], ...], int]:
@@ -477,11 +474,11 @@ def read_route(raw, index: int) -> Route:
 
 def record_from_raw(raw: dict, index: int) -> RouteRecord:
     """One dataset entry, checked and parsed: its route by read_route, then
-    its answers by read_answers."""
+    its answers checked by read_answers."""
     route = read_route(raw, index)
     # Route.build keyed the target, so read_answers takes its key unparsed.
-    _, references, ref_depth = read_answers(raw, f"record {index}")
-    return RouteRecord(route, references, ref_depth, index, raw)
+    read_answers(raw, f"record {index}")
+    return RouteRecord(route, index)
 
 
 def read_dataset(path: str | Path) -> list:

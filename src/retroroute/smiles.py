@@ -42,23 +42,23 @@ rank-labelled graph to its CanonicalKey, so canonical_key writes a molecule
 only the first time its shape is seen. A shape is one string holding the
 atom count; per atom, in rank order, a code for its element, aromatic flag,
 charge, isotope as written (None and 0 apart) and effective hydrogen count;
-and the sorted (lower rank, higher rank, bond order) triples. With map
-numbers and stereo off, the key's root (rank 0), each atom's neighbour order
-(by rank), the ring digits and the tokens read these fields and nothing else
-(implicit hydrogens follow from them and the bonds), so equal shapes give
-byte-equal keys for graphs that bond no pair of atoms twice, as parse_smiles
+and the sorted (lower rank, higher rank, bond order) triples. With stereo
+off, the key's root (rank 0), each atom's neighbour order (by rank), the
+ring digits and the tokens read these fields and nothing else (implicit
+hydrogens follow from them and the bonds), so equal shapes give byte-equal
+keys for graphs that bond no pair of atoms twice, as parse_smiles
 guarantees. Map numbers, chirality and bond directions are left out, as the
-key strips them, so [CH3:1]C and CC share one entry. Parsed and hand-built
-molecules share the table. It grows by one entry per distinct ranked graph
-the process keys and is never cleared. The atom codes come from a companion
+key never writes them, so [CH3:1]C and CC share one entry. Parsed and
+hand-built molecules share the table. It grows by one entry per distinct
+ranked graph the process keys and is never cleared. The atom codes come from a companion
 dict of atom kinds in first-seen order, which grows by one entry per distinct
 kind and may only be cleared together with the shape table. Each pool worker
 has its own copy of both.
 
-Rooted writing: a RootedWriter builds the tables for one molecule and one
-pair of include flags and keeps each root's text; write_rooted is a one-shot
-writer. Writer state lives only as long as the writer; nothing of it is kept
-on the Molecule or in the module.
+Rooted writing: a RootedWriter builds the tables for one molecule, with or
+without stereo marks, and keeps each root's text; write_rooted is a one-shot
+writer. Neither writes map numbers. Writer state lives only as long as the
+writer; nothing of it is kept on the Molecule or in the module.
 """
 
 from __future__ import annotations
@@ -567,15 +567,14 @@ def canonical_ranks(m: Molecule) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _atom_token(m: Molecule, i: int, include_maps: bool, include_stereo: bool) -> str:
-    element, aromatic, charge, _, isotope, map_number, chirality = m.atoms[i]
+def _atom_token(m: Molecule, i: int, include_stereo: bool) -> str:
+    element, aromatic, charge, _, isotope, _, chirality = m.atoms[i]
     implicit = m._implicit[i]
     effective = m._effective[i]
     bare_allowed = (
         element in ORGANIC_SUBSET
         and charge == 0
         and isotope is None
-        and (map_number is None or not include_maps)
         and (chirality is None or not include_stereo)
         and (not aromatic or element in _BARE_AROMATIC)
         and effective == implicit
@@ -601,8 +600,6 @@ def _atom_token(m: Molecule, i: int, include_maps: bool, include_stereo: bool) -
         parts.append(f"+{charge}")
     elif charge < 0:
         parts.append(str(charge))
-    if include_maps and map_number is not None:
-        parts.append(f":{map_number}")
     parts.append("]")
     return "".join(parts)
 
@@ -622,8 +619,8 @@ def _bond_token(order: str, direction: str | None, aromatic_ends: bool, include_
 
 
 class RootedWriter:
-    """Writes one molecule as SMILES from any root, for one pair of include
-    flags.
+    """Writes one molecule as SMILES from any root, with or without stereo
+    marks, and never with map numbers.
 
     The tables are built once: each atom's token, and each atom's neighbours
     in ascending canonical-rank order as (rank, other, bond index, bond
@@ -634,9 +631,9 @@ class RootedWriter:
     any writing computes.
     """
 
-    def __init__(self, m: Molecule, *, include_maps: bool = False, include_stereo: bool = True):
+    def __init__(self, m: Molecule, *, include_stereo: bool = True):
         ranks = canonical_ranks(m)
-        self._tokens = [_atom_token(m, i, include_maps, include_stereo) for i in range(len(m.atoms))]
+        self._tokens = [_atom_token(m, i, include_stereo) for i in range(len(m.atoms))]
         neighbors: list[list[tuple[int, int, int, str]]] = [[] for _ in m.atoms]
         # Each field read once: a named tuple's fields are slow to read.
         aromatic = [atom.aromatic for atom in m.atoms]
@@ -732,13 +729,7 @@ class RootedWriter:
         return "".join(pieces), tuple(atom_order)
 
 
-def write_rooted(
-    m: Molecule,
-    root: int,
-    *,
-    include_maps: bool = False,
-    include_stereo: bool = True,
-) -> tuple[str, list[int]]:
+def write_rooted(m: Molecule, root: int, *, include_stereo: bool = True) -> tuple[str, list[int]]:
     """Write m as SMILES starting at atom `root`.
 
     Neighbors are visited in ascending canonical-rank order; ring-closure
@@ -747,7 +738,7 @@ def write_rooted(
     whose token was written k-th (so atom_order[0] == root). A one-shot
     RootedWriter: to write one molecule from several roots, keep a writer.
     """
-    return RootedWriter(m, include_maps=include_maps, include_stereo=include_stereo).write(root)
+    return RootedWriter(m, include_stereo=include_stereo).write(root)
 
 
 def _shape(m: Molecule, ranks: tuple[int, ...]) -> str:
@@ -777,15 +768,15 @@ def _shape(m: Molecule, ranks: tuple[int, ...]) -> str:
 
 
 def canonical_key(m: Molecule) -> CanonicalKey:
-    """Canonical identifier: rooted rendering at the rank-0 atom, map numbers
-    and stereo marks stripped. A molecule whose rank-labelled graph was keyed
-    before in the process takes that key from the shape table unwritten."""
+    """Canonical identifier: rooted rendering at the rank-0 atom, without
+    stereo marks. A molecule whose rank-labelled graph was keyed before in
+    the process takes that key from the shape table unwritten."""
     if m._key is None:
         ranks = canonical_ranks(m)
         shape = _shape(m, ranks)
         key = _SHAPES.get(shape)
         if key is None:
-            text, _ = write_rooted(m, ranks.index(0), include_maps=False, include_stereo=False)
+            text, _ = write_rooted(m, ranks.index(0), include_stereo=False)
             key = _SHAPES[shape] = CanonicalKey(text)
         m._key = key
         if m._from_text:

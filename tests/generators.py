@@ -10,8 +10,10 @@ from __future__ import annotations
 import json
 import random
 from pathlib import Path
+from typing import NamedTuple
 
-from retroroute.routes import Reaction, Route, RouteRecord, route_depth
+from reference_writer import write_rooted as reference_write_rooted
+from retroroute.routes import Reaction, Route, route_depth
 from retroroute.smiles import (
     AROMATIC,
     DOUBLE,
@@ -19,6 +21,7 @@ from retroroute.smiles import (
     TRIPLE,
     Atom,
     Bond,
+    CanonicalKey,
     Molecule,
     canonical_key,
     write_rooted,
@@ -231,13 +234,25 @@ def _join(
     return Molecule(tuple(atoms), tuple(bonds), ""), embeddings
 
 
+class FixtureRecord(NamedTuple):
+    """A generated dataset entry: its route, answers, position and the
+    dataset-schema dict that write_dataset writes. ingest_dataset reads back
+    only the route and the position."""
+
+    route: Route
+    references: tuple[frozenset[CanonicalKey], ...]
+    ref_depth: int
+    index: int
+    raw: dict
+
+
 def rand_route_record(
     rng: random.Random,
     index: int = 0,
     depth: int | None = None,
     max_depth: int = 6,
     convergence: float = 0.0,
-) -> RouteRecord:
+) -> FixtureRecord:
     """A random well-formed route of exactly the requested depth (default:
     uniform on [2, max_depth]). With convergence > 0 completed subtrees are
     sometimes consumed a second time, making the route a proper DAG; reuse of
@@ -287,7 +302,7 @@ def rand_route_record(
     target = grow(budget)
     route = Route.build(target, tuple(reactions))
     references = (frozenset(route.stock_refs),)
-    return RouteRecord(
+    return FixtureRecord(
         route=route,
         references=references,
         ref_depth=route_depth(route),
@@ -297,10 +312,11 @@ def rand_route_record(
 
 
 def record_raw(route: Route, references) -> dict:
-    """Dataset-schema dict for a route, rendering map numbers."""
+    """Dataset-schema dict for a route, its reaction texts written with map
+    numbers by the reference writer (the library writes none)."""
 
     def mapped_text(molecule: Molecule) -> str:
-        text, _ = write_rooted(molecule, 0, include_maps=True)
+        text, _ = reference_write_rooted(molecule, 0, include_maps=True)
         return text
 
     return {
@@ -317,7 +333,7 @@ def record_raw(route: Route, references) -> dict:
     }
 
 
-def write_dataset(records: list[RouteRecord], path: str | Path) -> None:
+def write_dataset(records: list[FixtureRecord], path: str | Path) -> None:
     """Persist records in the dataset schema, the inverse of ingest_dataset."""
     payload = [record.raw for record in records]
     Path(path).write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n", encoding="utf-8")
@@ -325,7 +341,7 @@ def write_dataset(records: list[RouteRecord], path: str | Path) -> None:
 
 def rand_dataset(
     rng: random.Random, count: int, convergence: float = 0.15, max_depth: int = 6
-) -> list[RouteRecord]:
+) -> list[FixtureRecord]:
     return [
         rand_route_record(rng, index=i, convergence=convergence, max_depth=max_depth)
         for i in range(count)

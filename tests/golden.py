@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import difflib
 
-from retroroute.routes import Reaction, Route, RouteRecord, route_depth
-from retroroute.smiles import Molecule, canonical_key, parse_smiles, write_rooted
+from generators import FixtureRecord, record_raw
+from retroroute.routes import Reaction, Route, route_depth
+from retroroute.smiles import Molecule, canonical_key, parse_smiles
 
 TARGET = "CN1CCC(c2ccc(Nc3ncc(C(F)(F)F)c(CCc4nccnc4CC(=N)O)n3)cc2)CC1"
 
@@ -207,36 +208,17 @@ def build_reactions() -> list[Reaction]:
     return reactions
 
 
-def build_record(index: int = 0) -> RouteRecord:
+def build_record(index: int = 0) -> FixtureRecord:
     target = _parse_one(TARGET)
     route = Route.build(target, tuple(build_reactions()))
     references = (frozenset(route.stock_refs),)
-    return RouteRecord(
+    return FixtureRecord(
         route=route,
         references=references,
         ref_depth=route_depth(route),
         index=index,
         raw=record_raw(route, references),
     )
-
-
-def record_raw(route: Route, references) -> dict:
-    def mapped_text(molecule: Molecule) -> str:
-        text, _ = write_rooted(molecule, 0, include_maps=True)
-        return text
-
-    return {
-        "target": write_rooted(route.target, 0)[0],
-        "reactions": [
-            {
-                "product": mapped_text(reaction.product),
-                "precursors": [mapped_text(m) for m in reaction.precursors],
-            }
-            for reaction in route.reactions
-        ],
-        "references": [sorted(key.key for key in group) for group in references],
-        "ref_depth": route_depth(route),
-    }
 
 
 def step_product_keys() -> list[str]:

@@ -3,7 +3,10 @@ per-molecule RootedWriter, kept verbatim as a test oracle.
 
 Test-only: the library must never import it. tests/test_smiles.py asserts
 that RootedWriter and write_rooted give the same text and atom order from
-every root under every include flag.
+every root, with and without stereo marks, as this writer with map numbers
+off. It keeps its include_maps flag, which the library writer no longer
+has: tests/generators.py writes the mapped reaction texts of its datasets
+with it.
 """
 
 from __future__ import annotations

@@ -943,6 +943,9 @@ def test_nld_route_index_out_of_range(work, capsys):
         ({"reward": {"depth_cap": 1.5}}, "depth_cap must be an integer"),
         ({"strict_delimiters": 1}, "strict_delimiters must be a boolean"),
         ({"delimiters": "ab"}, "delimiters must be an array"),
+        ({"reward": {"strict_format": True}}, "unknown reward keys ['strict_format']"),
+        ({"reward": {"invalid_cap": 1.5}}, "invalid_cap must be an integer"),
+        ({"reward": {"depth_weight": True}}, "depth_weight must be a number"),
     ],
 )
 def test_bad_config_exits_two(work, tmp_path, capsys, payload, needle):

@@ -9,7 +9,7 @@ import pytest
 
 from retroroute.align import AlignedSequence, AlignedStep
 from retroroute.cli import PipelineConfig
-from retroroute.consensus import RankedCandidate, RankingPair, SlateEntry
+from retroroute.consensus import RankedCandidate, SlateEntry
 from retroroute.evaluate import EvalCandidate, EvalRecord, EvalReport
 from retroroute.reward import GeneratedPlan, PlanLineIssue, PlanScore, RewardConfig
 from retroroute.routes import (
@@ -42,8 +42,7 @@ RECORDS = [
     (AlignedStep("CCO", ("CC", "O"), (0.0, 2.0), (0, 0)), "precursor_texts"),
     (AlignedSequence((), 0), "target_root"),
     (_ENTRY, "depth"),
-    (RankedCandidate(_ENTRY, 2, 0), "votes"),
-    (RankingPair("a", "b"), "label"),
+    (RankedCandidate(_ENTRY, 2), "votes"),
     (EvalCandidate(frozenset({_KEY}), 1), "precursors"),
     (EvalRecord((), (frozenset({_KEY}),), 1), "ref_depth"),
     (EvalReport({1: 1.0}, {"1": 1.0}, {"1": 1}, 1), "total"),
@@ -51,7 +50,7 @@ RECORDS = [
     (PlanLineIssue(1, "syntax", "missing '>>'"), "kind"),
     (PlanScore(0.0, False, None, None, None, None, None), "total"),
     (GeneratedPlan("CCO>>C", None, "CCO>>C", None, (), False), "parsed_route"),
-    (RouteRecord(_ROUTE, (frozenset({_KEY}),), 0, 0, {"target": "CCO"}), "references"),
+    (RouteRecord(_ROUTE, 0), "route"),
     (RouteTree(RouteNode(0, _ETHANOL, None, ())), "root"),
     (PipelineConfig(), "workers"),
     (Atom("C"), "charge"),

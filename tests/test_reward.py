@@ -14,7 +14,7 @@ from generators import rand_dataset, rand_route_record, write_dataset
 from retroroute import reward, routes, smiles
 from retroroute.align import align_route, render_sequence
 from retroroute.cli import main
-from retroroute.errors import ConfigError, DomainError
+from retroroute.errors import ConfigError
 from retroroute.reward import (
     DEFAULT_DELIMITERS,
     GeneratedPlan,
@@ -23,7 +23,6 @@ from retroroute.reward import (
     jaccard,
     parse_plan,
     score_plan,
-    weighted_loss,
 )
 from retroroute.routes import route_depth, to_tree
 from retroroute.smiles import canonical_key, parse_smiles
@@ -525,7 +524,7 @@ def test_config_default_sits_on_the_boundary():
 
 
 # ---------------------------------------------------------------------------
-# jaccard / weighted_loss
+# jaccard
 # ---------------------------------------------------------------------------
 
 
@@ -545,30 +544,6 @@ def test_jaccard_matches_naive_oracle(a, b):
     either = len(set(list(a) + list(b)))
     expected = 1.0 if either == 0 else both / either
     assert math.isclose(jaccard(a, b), expected, abs_tol=TOL)
-
-
-def test_weighted_loss_examples():
-    assert math.isclose(weighted_loss(2.0, 1.0, 0.1), 1.1, abs_tol=TOL)
-    assert weighted_loss(0.0, 0.0, 0.5) == 0.0
-    assert math.isclose(weighted_loss(3.7, 3.7, 0.25), 3.7, abs_tol=TOL)
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    st.floats(0, 10, allow_nan=False),
-    st.floats(0, 10, allow_nan=False),
-    st.floats(0, 1, allow_nan=False),
-)
-def test_weighted_loss_stays_between_inputs(thought, answer, alpha):
-    value = weighted_loss(thought, answer, alpha)
-    low, high = min(thought, answer), max(thought, answer)
-    assert low - TOL <= value <= high + TOL
-
-
-@pytest.mark.parametrize("alpha", [-0.1, 1.5, 2.0])
-def test_weighted_loss_rejects_alpha_outside_unit(alpha):
-    with pytest.raises(DomainError):
-        weighted_loss(1.0, 1.0, alpha)
 
 
 def test_default_delimiters_are_think_tags():

@@ -19,6 +19,7 @@ from retroroute.routes import (
     ingest_dataset,
     linearize_nodes,
     load_stock,
+    read_answers,
     route_depth,
     to_tree,
     validate_route,
@@ -487,44 +488,48 @@ def test_ingest_minimal_record(tmp_path):
     assert len(records) == 1
     record = records[0]
     assert record.index == 0
-    assert record.ref_depth == 1
-    assert record.references == (frozenset({key("CC=O")}),)
     assert record.route.target_key == key("CCO")
     assert len(record.route.reactions) == 1
+    assert answers_by_target(path) == {key("CCO"): ((frozenset({key("CC=O")}),), 1)}
 
 
 def test_reference_text_counts_as_its_components(tmp_path):
     path = tmp_path / "data.json"
     raws = [make_raw(references=[["CC=O.O"]]), make_raw(references=[["O", "CC=O"]])]
     path.write_text(json.dumps(raws), encoding="utf-8")
-    dotted, listed = ingest_dataset(path)
-    assert dotted.references == listed.references == (frozenset({key("CC=O"), key("O")}),)
+    assert len(ingest_dataset(path)) == 2
+    dotted, listed = (read_answers(raw, "record")[1] for raw in raws)
+    assert dotted == listed == (frozenset({key("CC=O"), key("O")}),)
 
 
 def test_ingest_write_fixpoint(tmp_path):
     rng = random.Random(17)
-    raws = [rand_route_record(rng, index=i).raw for i in range(6)]
-    first = tmp_path / "a.json"
-    second = tmp_path / "b.json"
-    first.write_text(json.dumps(raws), encoding="utf-8")
-    records = ingest_dataset(first)
-    write_dataset(records, second)
-    assert ingest_dataset(second)[3].raw == records[3].raw
-    write_dataset(ingest_dataset(second), first)
-    assert first.read_text() == second.read_text()
+    records = [rand_route_record(rng, index=i) for i in range(6)]
+    path = tmp_path / "data.json"
+    write_dataset(records, path)
+    loaded = ingest_dataset(path)
+    assert [(r.index, r.route.target_key, r.route.stock_refs) for r in loaded] == [
+        (r.index, r.route.target_key, r.route.stock_refs) for r in records
+    ]
+    assert answers_by_target(path) == {
+        r.route.target_key: (r.references, r.ref_depth) for r in records
+    }
 
 
 @pytest.mark.parametrize("seed, convergence", [(3, 0.0), (4, 0.4), (5, 0.8)])
 def test_answers_reader_agrees_with_ingest(tmp_path, seed, convergence):
     rng = random.Random(seed)
-    raws = [record.raw for record in rand_dataset(rng, 8, convergence=convergence)]
+    records = rand_dataset(rng, 8, convergence=convergence)
+    raws = [record.raw for record in records]
     # A later record for a target already seen, with other answers: it wins.
     repeated = dict(raws[2], references=raws[5]["references"], ref_depth=9)
     path = tmp_path / "data.json"
     path.write_text(json.dumps(raws + [repeated, raws[6]]), encoding="utf-8")
+    written = [(r.references, r.ref_depth) for r in records]
+    written += [(records[5].references, 9), written[6]]
     expected = {
-        record.route.target_key: (record.references, record.ref_depth)
-        for record in ingest_dataset(path)
+        record.route.target_key: answers
+        for record, answers in zip(ingest_dataset(path), written, strict=True)
     }
     answers = answers_by_target(path)
     assert list(answers.items()) == list(expected.items())
@@ -624,4 +629,4 @@ def test_golden_record_survives_persistence(tmp_path):
     assert loaded.route.target_key == record.route.target_key
     assert loaded.route.stock_refs == record.route.stock_refs
     assert route_depth(loaded.route) == 7
-    assert loaded.references == record.references
+    assert answers_by_target(path) == {record.route.target_key: (record.references, 7)}

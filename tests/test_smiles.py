@@ -427,11 +427,11 @@ def test_more_than_99_ring_closures_read_back():
 
 def test_write_rooted_map_and_stereo_switches():
     m = one("N[C@@H](C)C(=O)[O:4]")
-    with_all, _ = write_rooted(m, 0, include_maps=True, include_stereo=True)
-    bare, _ = write_rooted(m, 0, include_maps=False, include_stereo=False)
-    assert ":4" in with_all and "@@" in with_all
-    assert ":4" not in bare and "@@" not in bare
-    assert is_isomorphic(one(with_all), one(bare))
+    stereo, _ = write_rooted(m, 0)
+    bare, _ = write_rooted(m, 0, include_stereo=False)
+    assert "@@" in stereo and "@@" not in bare
+    assert ":4" not in stereo and ":4" not in bare
+    assert is_isomorphic(one(stereo), one(bare))
 
 
 def test_write_rooted_round_trips_box_corpus_every_root():
@@ -469,7 +469,7 @@ def test_write_rooted_thousand_atoms_keeps_the_recursion_limit():
 # RootedWriter against the reference writer
 # ---------------------------------------------------------------------------
 
-FLAGS = [(maps, stereo) for maps in (False, True) for stereo in (False, True)]
+FLAGS = (False, True)  # include_stereo
 DECORATED = [
     "N[C@@H](C)C(=O)[O:4]",
     "F/C=C/F",
@@ -520,12 +520,12 @@ def writer_corpus() -> list[Molecule]:
 
 def test_writer_matches_reference_writer_every_root_and_flag():
     for m in writer_corpus():
-        for maps, stereo in FLAGS:
-            writer = RootedWriter(m, include_maps=maps, include_stereo=stereo)
+        for stereo in FLAGS:
+            writer = RootedWriter(m, include_stereo=stereo)
             for root in range(len(m.atoms)):
-                expected = reference_write_rooted(m, root, include_maps=maps, include_stereo=stereo)
+                expected = reference_write_rooted(m, root, include_stereo=stereo)
                 assert writer.write(root) == expected
-                assert write_rooted(m, root, include_maps=maps, include_stereo=stereo) == expected
+                assert write_rooted(m, root, include_stereo=stereo) == expected
                 # A second request is answered from the writer's texts.
                 assert writer.write(root) == expected
 
@@ -550,9 +550,9 @@ def test_writing_and_keying_attach_no_state_beyond_ranks_and_key():
         m = one(text)
         m._key = None
         before = dict(vars(m))
-        for maps, stereo in FLAGS:
-            write_rooted(m, 0, include_maps=maps, include_stereo=stereo)
-            RootedWriter(m, include_maps=maps, include_stereo=stereo).write(len(m.atoms) - 1)
+        for stereo in FLAGS:
+            write_rooted(m, 0, include_stereo=stereo)
+            RootedWriter(m, include_stereo=stereo).write(len(m.atoms) - 1)
         canonical_key(m)
         after = vars(m)
         assert after.keys() == before.keys()
@@ -952,11 +952,11 @@ def test_lone_atom_is_written_bare_exactly_when_the_parser_reads_it_back():
         bare = smiles._BARE_ATOMS.get(symbol)
         expected = bare is not None and (bare.element, bare.aromatic) == (atom.element, atom.aromatic)
         for pinned in (atom, atom._replace(explicit_hydrogens=implicit)):
-            token = smiles._atom_token(Molecule((pinned,), ()), 0, False, True)
+            token = smiles._atom_token(Molecule((pinned,), ()), 0, True)
             assert (token == symbol) is expected, (pinned, token)
             assert token in (symbol, f"[{symbol}]", f"[{symbol}H]", f"[{symbol}H{implicit}]")
-    assert smiles._atom_token(Molecule((Atom("c"),), ()), 0, False, True) == "[c]"
-    assert smiles._atom_token(Molecule((Atom("Se", aromatic=True),), ()), 0, False, True) == "[se]"
+    assert smiles._atom_token(Molecule((Atom("c"),), ()), 0, True) == "[c]"
+    assert smiles._atom_token(Molecule((Atom("Se", aromatic=True),), ()), 0, True) == "[se]"
 
 
 @settings(max_examples=80, deadline=None)
@@ -1045,7 +1045,7 @@ def cold_tables():
 def written_key(m: Molecule) -> str:
     """The key text as written from scratch, bypassing both tables."""
     root = canonical_ranks(m).index(0)
-    return write_rooted(m, root, include_maps=False, include_stereo=False)[0]
+    return write_rooted(m, root, include_stereo=False)[0]
 
 
 def test_warm_shape_keys_equal_cold_written_keys(cold_tables):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import NamedTuple
@@ -148,13 +149,41 @@ def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True)
 
 
+def _place_worker(cpus, allowed: set[int]) -> None:
+    """Pool initializer: move this worker onto the next CPU in `cpus`, then
+    allow it the `allowed` set it inherited again, so it starts there
+    without being bound there. Placement is best effort: an initializer
+    that raised would break the whole pool."""
+    try:
+        os.sched_setaffinity(0, {cpus.get()})
+        os.sched_setaffinity(0, allowed)
+    except OSError:
+        pass  # the worker runs where it started
+
+
 def _map_ordered(worker, tasks: list, workers: int) -> list:
+    """worker(task) for each task, in task order. With more than one worker
+    and more than one task the tasks run in a process pool. Each pool worker
+    starts on its own CPU of the set this process may use (in turn, when
+    there are more workers than CPUs), but is not bound to it; forked
+    workers would otherwise all start on the parent's CPU and may stay
+    there. The results are the same as with one worker."""
     if workers <= 1 or len(tasks) <= 1:
         return [worker(task) for task in tasks]
     # Imported here, so a run with one worker never loads multiprocessing.
     from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import SimpleQueue
 
-    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as executor:
+    size = min(workers, len(tasks))
+    placement = {}
+    if hasattr(os, "sched_setaffinity"):  # Linux; elsewhere workers start where they start
+        allowed = os.sched_getaffinity(0)
+        cpus = sorted(allowed)
+        queue = SimpleQueue()
+        for k in range(size):
+            queue.put(cpus[k % len(cpus)])
+        placement = {"initializer": _place_worker, "initargs": (queue, allowed)}
+    with ProcessPoolExecutor(max_workers=size, **placement) as executor:
         chunk = max(1, len(tasks) // (workers * 4))
         return list(executor.map(worker, tasks, chunksize=chunk))
 

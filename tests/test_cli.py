@@ -338,7 +338,7 @@ def test_pool_never_starts_more_processes_than_tasks(work, tmp_path, monkeypatch
     sizes = []
 
     class RecordingPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer=None, initargs=()):
             sizes.append(max_workers)
 
         def __enter__(self):
@@ -360,6 +360,107 @@ def test_pool_never_starts_more_processes_than_tasks(work, tmp_path, monkeypatch
     assert serial.read_bytes() == pooled.read_bytes()
     assert retroroute.cli._map_ordered(operator.neg, [1, 2, 3], 2) == [-1, -2, -3]
     assert sizes == [len(work.records), 2]
+
+
+class _AffinityStandIns:
+    """os.sched_getaffinity and os.sched_setaffinity stand-ins that count
+    reads and record each set asked for; `fail_first` makes the first set
+    call raise."""
+
+    def __init__(self, allowed, fail_first=False):
+        self.allowed = set(allowed)
+        self.calls = []
+        self.reads = 0
+        self.fail_first = fail_first
+
+    def getaffinity(self, pid):
+        self.reads += 1
+        return set(self.allowed)
+
+    def setaffinity(self, pid, cpus):
+        self.calls.append(set(cpus))
+        if self.fail_first and len(self.calls) == 1:
+            raise OSError(22, "Invalid argument")
+
+
+class _InProcessPool:
+    """A stand-in pool that runs its initializer once per worker, then the
+    tasks, all in-process."""
+
+    def __init__(self, max_workers, initializer=None, initargs=()):
+        if initializer is not None:
+            for _ in range(max_workers):
+                initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def map(self, fn, tasks, chunksize=1):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("fail_first", [False, True])
+def test_pool_workers_start_on_distinct_cpus_in_turn(monkeypatch, fail_first):
+    import concurrent.futures
+
+    affinity = _AffinityStandIns({5, 2}, fail_first=fail_first)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(os, "sched_getaffinity", affinity.getaffinity, raising=False)
+    monkeypatch.setattr(os, "sched_setaffinity", affinity.setaffinity, raising=False)
+    assert retroroute.cli._map_ordered(operator.neg, [1, 2, 3, 4], 3) == [-1, -2, -3, -4]
+    if fail_first:
+        # The first worker stays where it started; the others are placed.
+        assert affinity.calls == [{2}, {5}, {2, 5}, {2}, {2, 5}]
+    else:
+        assert affinity.calls == [{2}, {2, 5}, {5}, {2, 5}, {2}, {2, 5}]
+
+
+def test_pool_workers_are_not_placed_without_sched_setaffinity(monkeypatch):
+    import concurrent.futures
+
+    affinity = _AffinityStandIns({2, 5})
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(os, "sched_getaffinity", affinity.getaffinity, raising=False)
+    monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+    assert retroroute.cli._map_ordered(operator.neg, [1, 2, 3], 3) == [-1, -2, -3]
+    assert affinity.calls == [] and affinity.reads == 0
+
+
+def _allowed_cpus(task):
+    return task, os.sched_getaffinity(0)
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs os.sched_setaffinity and at least two allowed CPUs",
+)
+def test_placed_pool_workers_are_not_bound_to_their_cpu():
+    # Which CPU each worker ran on is up to the kernel; what is fixed is
+    # that placement gave every worker back the whole inherited set.
+    allowed = os.sched_getaffinity(0)
+    tasks = list(range(8))
+    results = retroroute.cli._map_ordered(_allowed_cpus, tasks, 2)
+    assert [task for task, _ in results] == tasks
+    assert all(cpus == allowed for _, cpus in results)
+
+
+def test_a_one_worker_run_does_not_load_multiprocessing(work, tmp_path):
+    # Worker placement lives behind the pool: align with one worker never
+    # imports multiprocessing.
+    package_root = str(Path(retroroute.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": package_root}
+    argv = ["align", work.dataset, "--fold", "2", "--workers", "1", "-o", str(tmp_path / "a.jsonl")]
+    code = (
+        "import sys; from retroroute.cli import main; "
+        f"code = main({argv!r}); print(code, 'multiprocessing' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "0 False"
 
 
 def test_importing_the_cli_does_not_load_multiprocessing():

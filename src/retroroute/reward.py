@@ -67,9 +67,6 @@ class PlanLineIssue(NamedTuple):
 
 
 class GeneratedPlan(NamedTuple):
-    raw_text: str
-    thought_segment: str | None
-    answer_segment: str
     parsed_route: Route | None
     parse_failures: tuple[PlanLineIssue, ...]
     delimiters_ok: bool
@@ -123,10 +120,8 @@ def parse_plan(
     end = text.find(close_mark, start + len(open_mark)) if start != -1 else -1
     delimiters_ok = end != -1
     if delimiters_ok:
-        thought = text[start + len(open_mark) : end]
         answer = text[end + len(close_mark) :]
     else:
-        thought = None
         answer = text
 
     failures: list[PlanLineIssue] = []
@@ -178,9 +173,6 @@ def parse_plan(
         failures.append(PlanLineIssue(0, "structure", "no reaction lines"))
 
     return GeneratedPlan(
-        raw_text=text,
-        thought_segment=thought,
-        answer_segment=answer,
         parsed_route=route,
         parse_failures=tuple(failures),
         delimiters_ok=delimiters_ok,
@@ -235,7 +227,7 @@ def _reconstruct(
         demanded.update(keys)
         reactions.append(Reaction(product, tuple(precursors), tuple({} for _ in precursors)))
 
-    route = Route.build(target, tuple(reactions))
+    route = Route(target, tuple(reactions))
     # Demand order alone cannot rule out cycles (T>>A then A>>T passes it).
     if route.cycle:
         failures.append(PlanLineIssue(0, "structure", "plan graph contains a cycle"))

@@ -71,33 +71,14 @@ class Reaction:
 
 
 class Route:
-    """A retrosynthetic DAG rooted at `target`, analysed once by `build`:
+    """A retrosynthetic DAG rooted at `target`, analysed once when built:
     producers maps each product key to its first producing reaction;
     made_twice lists the keys with more than one producer, in order of first
     appearance; stock_refs is the leaf key set; cycle holds the keys on the
     first cycle met, if any; depth is the longest leaf-to-target distance in
     reaction steps, meaningful only when cycle is empty."""
 
-    def __init__(
-        self,
-        target: Molecule,
-        reactions: tuple[Reaction, ...],
-        producers: dict[CanonicalKey, Reaction],
-        made_twice: tuple[CanonicalKey, ...],
-        stock_refs: frozenset[CanonicalKey],
-        cycle: tuple[str, ...],
-        depth: int,
-    ) -> None:
-        self.target = target
-        self.reactions = reactions
-        self.producers = producers
-        self.made_twice = made_twice
-        self.stock_refs = stock_refs
-        self.cycle = cycle
-        self.depth = depth
-
-    @classmethod
-    def build(cls, target: Molecule, reactions: tuple[Reaction, ...]) -> "Route":
+    def __init__(self, target: Molecule, reactions: tuple[Reaction, ...]) -> None:
         producers: dict[CanonicalKey, Reaction] = {}
         repeated: set[CanonicalKey] = set()
         for reaction in reactions:
@@ -106,15 +87,17 @@ class Route:
                 repeated.add(key)
             else:
                 producers[key] = reaction
-        made_twice = tuple(key for key in producers if key in repeated)
         leaves = {k for r in reactions for k in r.precursor_keys() if k not in producers}
         if not reactions:
             leaves = {canonical_key(target)}
         depths, cycle = _depths(reactions, producers)
-        depth = depths.get(canonical_key(target), 0)
-        return cls(
-            target, tuple(reactions), producers, made_twice, frozenset(leaves), cycle, depth
-        )
+        self.target = target
+        self.reactions = tuple(reactions)
+        self.producers = producers
+        self.made_twice = tuple(key for key in producers if key in repeated)
+        self.stock_refs = frozenset(leaves)
+        self.cycle = cycle
+        self.depth = depths.get(canonical_key(target), 0)
 
     @property
     def target_key(self) -> CanonicalKey:
@@ -469,16 +452,7 @@ def read_route(raw, index: int) -> Route:
         except ValueError as exc:  # a map number repeated within one molecule
             raise SchemaError(f"{at}: {exc}") from exc
 
-    return Route.build(target, tuple(reactions))
-
-
-def record_from_raw(raw: dict, index: int) -> RouteRecord:
-    """One dataset entry, checked and parsed: its route by read_route, then
-    its answers checked by read_answers."""
-    route = read_route(raw, index)
-    # Route.build keyed the target, so read_answers takes its key unparsed.
-    read_answers(raw, f"record {index}")
-    return RouteRecord(route, index)
+    return Route(target, tuple(reactions))
 
 
 def read_dataset(path: str | Path) -> list:
@@ -489,7 +463,13 @@ def read_dataset(path: str | Path) -> list:
 def ingest_dataset(path: str | Path) -> list[RouteRecord]:
     """Load a dataset file. Raises SchemaError naming the failing record and
     field."""
-    return [record_from_raw(raw, index) for index, raw in enumerate(read_dataset(path))]
+    records = []
+    for index, raw in enumerate(read_dataset(path)):
+        route = read_route(raw, index)
+        # read_route keyed the target, so read_answers takes its key unparsed.
+        read_answers(raw, f"record {index}")
+        records.append(RouteRecord(route, index))
+    return records
 
 
 def answers_by_target(path: str | Path) -> dict[CanonicalKey, tuple[tuple, int]]:

@@ -656,23 +656,27 @@ class RootedWriter:
         return written[0], list(written[1])
 
     def _write(self, root: int) -> tuple[str, tuple[int, ...]]:
-        n = len(self._tokens)
+        tokens = self._tokens
+        n = len(tokens)
         if not 0 <= root < n:
             raise IndexError(f"root {root} out of range for {n} atoms")
         neighbors = self._neighbors
 
-        # First traversal: spanning tree and ring (back) edges in discovery
-        # order. A back edge is met first from its later end, so it is kept
-        # as (earlier atom, later atom, bond token).
-        position = [-1] * n  # emission position of each atom reached
-        position[root] = 0
+        # One depth-first walk writes the text as it goes. Each atom adds its
+        # token and then an empty ring-digit slot; a branch opens with "(" and
+        # its bond token and closes with ")". slot[i] is the index in pieces
+        # of atom i's slot, 0 while i is unreached; slots, like atoms, are
+        # added in emission order. A frame on the stack is (atom, cursor in its
+        # neighbour row, index of the piece that opened its latest branch).
+        pieces = [tokens[root], ""]
+        slot = [0] * n
+        slot[root] = 1
         atom_order = [root]
-        tree_children: list[list[tuple[str, int]]] = [[] for _ in range(n)]
         back_edges: list[tuple[int, int, str]] = []
         used = [False] * self._n_bonds
-        stack = [(root, 0)]
+        stack = [(root, 0, 0)]
         while stack:
-            current, cursor = stack[-1]
+            current, cursor, opened = stack[-1]
             row = neighbors[current]
             while cursor < len(row):
                 _, other, k, token = row[cursor]
@@ -680,52 +684,38 @@ class RootedWriter:
                 if used[k]:
                     continue
                 used[k] = True
-                if position[other] < 0:
-                    position[other] = len(atom_order)
+                if not slot[other]:
+                    stack[-1] = (current, cursor, len(pieces))
+                    pieces.append("(" + token)
+                    pieces.append(tokens[other])
+                    slot[other] = len(pieces)
+                    pieces.append("")
                     atom_order.append(other)
-                    tree_children[current].append((token, other))
-                    stack[-1] = (current, cursor)
-                    stack.append((other, 0))
+                    stack.append((other, 0, 0))
                     break
-                back_edges.append((other, current, token))
+                # A ring (back) edge is met first from its later end.
+                back_edges.append((slot[other], slot[current], token))
             else:
                 stack.pop()
+                if opened:
+                    # The last branch is written bare: drop its "(" and its
+                    # ")", which is the last piece since nothing followed it.
+                    pieces[opened] = pieces[opened][1:]
+                    pieces.pop()
+                if stack:
+                    pieces.append(")")
 
         # Number ring closures by the emission position of their first mention
         # so digits appear in increasing order along the string; the later end
-        # writes the bond token before the digit.
-        back_edges.sort(key=lambda edge: (position[edge[0]], position[edge[1]]))
-        ring_text: dict[int, str] = {}
+        # writes the bond token before the digit. Two atoms share at most one
+        # bond, so the (earlier slot, later slot) pairs are distinct.
+        back_edges.sort()
         for digit, (early, late, token) in enumerate(back_edges, start=1):
             digit_text = (
                 str(digit) if digit <= 9 else f"%{digit}" if digit <= 99 else f"%({digit})"
             )
-            ring_text[early] = ring_text.get(early, "") + digit_text
-            ring_text[late] = ring_text.get(late, "") + token + digit_text
-
-        # Second traversal writes the text. The stack holds (text before the
-        # atom, atom) pairs and the ")" that closes each branch; a node's
-        # branches come first in order, each in parentheses, then its last
-        # child.
-        tokens = self._tokens
-        pieces: list[str] = []
-        stack: list[tuple[str, int] | str] = [("", root)]
-        while stack:
-            item = stack.pop()
-            if item == ")":
-                pieces.append(item)
-                continue
-            prefix, atom = item
-            pieces.append(prefix)
-            pieces.append(tokens[atom])
-            if atom in ring_text:
-                pieces.append(ring_text[atom])
-            children = tree_children[atom]
-            if children:
-                stack.append(children[-1])
-                for token, other in reversed(children[:-1]):
-                    stack.append(")")
-                    stack.append(("(" + token, other))
+            pieces[early] += digit_text
+            pieces[late] += token + digit_text
         return "".join(pieces), tuple(atom_order)
 
 

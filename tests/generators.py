@@ -300,7 +300,7 @@ def rand_route_record(
         return product
 
     target = grow(budget)
-    route = Route.build(target, tuple(reactions))
+    route = Route(target, tuple(reactions))
     references = (frozenset(route.stock_refs),)
     return FixtureRecord(
         route=route,

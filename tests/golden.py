@@ -210,7 +210,7 @@ def build_reactions() -> list[Reaction]:
 
 def build_record(index: int = 0) -> FixtureRecord:
     target = _parse_one(TARGET)
-    route = Route.build(target, tuple(build_reactions()))
+    route = Route(target, tuple(build_reactions()))
     references = (frozenset(route.stock_refs),)
     return FixtureRecord(
         route=route,

@@ -38,7 +38,7 @@ def key_of(text: str):
 
 
 def tree_for(target: str, *reactions: Reaction):
-    return to_tree(Route.build(mol(target), tuple(reactions)))
+    return to_tree(Route(mol(target), tuple(reactions)))
 
 
 def test_default_root_is_rank_zero_atom():

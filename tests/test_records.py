@@ -34,7 +34,7 @@ from retroroute.smiles import (
 _KEY = CanonicalKey("CCO")
 _ENTRY = SlateEntry("a", frozenset({_KEY}), 1)
 _ETHANOL = parse_smiles("CCO")[0]
-_ROUTE = Route.build(_ETHANOL, ())
+_ROUTE = Route(_ETHANOL, ())
 
 # One record of each kind and one of its fields.
 RECORDS = [
@@ -49,7 +49,7 @@ RECORDS = [
     (RewardConfig(), "exact_weight"),
     (PlanLineIssue(1, "syntax", "missing '>>'"), "kind"),
     (PlanScore(0.0, False, None, None, None, None, None), "total"),
-    (GeneratedPlan("CCO>>C", None, "CCO>>C", None, (), False), "parsed_route"),
+    (GeneratedPlan(None, (), False), "parsed_route"),
     (RouteRecord(_ROUTE, 0), "route"),
     (RouteTree(RouteNode(0, _ETHANOL, None, ())), "root"),
     (PipelineConfig(), "workers"),
@@ -84,7 +84,7 @@ def test_graph_objects_built_from_equal_fields_stay_distinct():
     pairs = [
         (Molecule(m.atoms, m.bonds, "CCO"), Molecule(m.atoms, m.bonds, "CCO")),
         (Reaction(m, (m,), ({},)), Reaction(m, (m,), ({},))),
-        (Route.build(m, ()), Route.build(m, ())),
+        (Route(m, ()), Route(m, ())),
         (RouteNode(0, m, None, ()), RouteNode(0, m, None, ())),
     ]
     for first, second in pairs:

@@ -17,7 +17,6 @@ from retroroute.cli import main
 from retroroute.errors import ConfigError
 from retroroute.reward import (
     DEFAULT_DELIMITERS,
-    GeneratedPlan,
     PlanScore,
     RewardConfig,
     jaccard,
@@ -74,7 +73,6 @@ def chain_plan(steps: int, invalid_lines: int) -> tuple[str, frozenset]:
 def test_parse_one_step_plan():
     plan = parse_plan(wrapped("CCO>>CC=O.O"), mol("CCO"))
     assert plan.delimiters_ok
-    assert plan.thought_segment == "considering disconnections"
     assert plan.parsed_route is not None
     assert plan.parsed_route.stock_refs == keys_of("CC=O", "O")
     assert plan.parse_failures == ()
@@ -134,7 +132,6 @@ def test_parse_empty_answer_reports_no_lines():
 def test_parse_missing_delimiters_still_reads_answer():
     plan = parse_plan("CCO>>CC=O", mol("CCO"))
     assert not plan.delimiters_ok
-    assert plan.thought_segment is None
     assert plan.parsed_route is not None
 
 
@@ -144,15 +141,16 @@ def test_parse_delimiters_out_of_order():
 
 
 def test_parse_finds_the_close_mark_after_the_open_mark():
-    # A stray close mark before the pair hides nothing.
-    plan = parse_plan("</think>x<think>hm</think>\nCCO>>CC=O", mol("CCO"))
-    assert plan.delimiters_ok and plan.thought_segment == "hm"
-    assert plan.parse_failures == ()
+    # A stray close mark before the pair hides nothing; the thought is a line
+    # that would fail to parse if it leaked into the answer.
+    plan = parse_plan("</think>x<think>C>>N</think>\nCCO>>CC=O", mol("CCO"))
+    assert plan.delimiters_ok
+    assert plan.parse_failures == () and plan.parsed_route is not None
 
 
 def test_parse_identical_open_and_close_marks():
-    plan = parse_plan("###hm###\nCCO>>CC=O.O", mol("CCO"), ("###", "###"))
-    assert plan.delimiters_ok and plan.thought_segment == "hm"
+    plan = parse_plan("###C>>N###\nCCO>>CC=O.O", mol("CCO"), ("###", "###"))
+    assert plan.delimiters_ok
     assert plan.parse_failures == () and plan.parsed_route is not None
     # The format bonus is paid under a strict config.
     score = score_plan(plan, [keys_of("CC=O", "O")], 1, RewardConfig(strict_format=True))
@@ -548,10 +546,3 @@ def test_jaccard_matches_naive_oracle(a, b):
 
 def test_default_delimiters_are_think_tags():
     assert DEFAULT_DELIMITERS == ("<think>", "</think>")
-
-
-def test_plan_dataclass_carries_raw_text():
-    plan = parse_plan(wrapped("CCO>>CC=O"), mol("CCO"))
-    assert isinstance(plan, GeneratedPlan)
-    assert plan.raw_text.startswith("<think>")
-    assert plan.answer_segment.strip() == "CCO>>CC=O"

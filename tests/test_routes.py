@@ -40,7 +40,7 @@ def rxn(product: str, *precursors: str) -> Reaction:
 
 
 def route(target: str, *reactions: Reaction) -> Route:
-    return Route.build(mol(target), tuple(reactions))
+    return Route(mol(target), tuple(reactions))
 
 
 def stock_of(*texts: str) -> frozenset:
@@ -145,7 +145,7 @@ def test_validate_target_must_not_be_consumed():
 
 
 def test_validate_unproduced_target_fails_convergence():
-    r = Route.build(mol("CCCCCC"), (rxn("CCO", "CC=O"),))
+    r = Route(mol("CCCCCC"), (rxn("CCO", "CC=O"),))
     report = validate_route(r, stock_of("CC=O"))
     assert key("CCCCCC").key in report.target_convergence
 
@@ -157,13 +157,13 @@ def test_validate_extra_sink_fails_convergence():
 
 
 def test_validate_duplicate_producer_fails_stepwise():
-    r = Route.build(mol("CCO"), (rxn("CCO", "CC=O"), rxn("CCO", "CCBr")))
+    r = Route(mol("CCO"), (rxn("CCO", "CC=O"), rxn("CCO", "CCBr")))
     report = validate_route(r, stock_of("CC=O", "CCBr"))
     assert key("CCO").key in report.stepwise_linkage
 
 
 def test_validate_cycle_fails_stepwise():
-    r = Route.build(mol("CCO"), (rxn("CCO", "CC=O"), rxn("CC=O", "CCO")))
+    r = Route(mol("CCO"), (rxn("CCO", "CC=O"), rxn("CC=O", "CCO")))
     report = validate_route(r, stock_of("CCO"))
     assert set(report.stepwise_linkage) == {key("CCO").key, key("CC=O").key}
 
@@ -237,10 +237,10 @@ def test_tree_duplicates_convergent_intermediate():
 
 
 def test_tree_rejects_cycles_and_duplicate_producers():
-    cyclic = Route.build(mol("CCO"), (rxn("CCO", "CC=O"), rxn("CC=O", "CCO")))
+    cyclic = Route(mol("CCO"), (rxn("CCO", "CC=O"), rxn("CC=O", "CCO")))
     with pytest.raises(CycleError):
         to_tree(cyclic)
-    doubled = Route.build(mol("CCO"), (rxn("CCO", "CC=O"), rxn("CCO", "CCBr")))
+    doubled = Route(mol("CCO"), (rxn("CCO", "CC=O"), rxn("CCO", "CCBr")))
     with pytest.raises(ValueError):
         to_tree(doubled)
 
@@ -349,7 +349,7 @@ def test_depth_golden_route():
 
 
 def test_depth_rejects_cycles():
-    cyclic = Route.build(mol("CCO"), (rxn("CCO", "CC=O"), rxn("CC=O", "CCO")))
+    cyclic = Route(mol("CCO"), (rxn("CCO", "CC=O"), rxn("CC=O", "CCO")))
     with pytest.raises(CycleError):
         route_depth(cyclic)
 
@@ -423,7 +423,7 @@ def test_depth_and_first_cycle_match_a_recursive_search():
             for _ in range(rng.randint(0, 8))
         )
         target = mol(rng.choice(names))
-        r = Route.build(target, reactions)
+        r = Route(target, reactions)
         assert r.cycle == _first_cycle(reactions)
         if r.cycle:
             cyclic += 1

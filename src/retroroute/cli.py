@@ -332,26 +332,15 @@ def cmd_vote(args: argparse.Namespace, config: PipelineConfig) -> int:
     out_lines = []
     for where, row in rows:
         target_text, entries = _slate_from_row(row, where)
-        ranked = vote(entries)
-        out_lines.append(
-            _dumps(
-                {
-                    "target": target_text,
-                    "candidates": [
-                        {
-                            "plan_id": candidate.entry.plan_id,
-                            "notation_id": candidate.entry.notation_id,
-                            "precursors": sorted(
-                                key.key for key in candidate.entry.precursors
-                            ),
-                            "depth": candidate.entry.depth,
-                            "votes": candidate.votes,
-                        }
-                        for candidate in ranked
-                    ],
-                }
-            )
-        )
+        candidates = [
+            {
+                **c.entry._asdict(),
+                "precursors": sorted(k.key for k in c.entry.precursors),
+                "votes": c.votes,
+            }
+            for c in vote(entries)
+        ]
+        out_lines.append(_dumps({"target": target_text, "candidates": candidates}))
     _write_lines(args.out, out_lines)
     return 0
 
@@ -388,14 +377,7 @@ def cmd_eval(args: argparse.Namespace, config: PipelineConfig) -> int:
             )
         )
     report = topk_accuracy(records, config.kmax)
-    payload = _dumps(
-        {
-            "top_k": {str(k): v for k, v in report.top_k.items()},
-            "depth_accuracy": report.depth_accuracy,
-            "depth_counts": report.depth_counts,
-            "total": report.total,
-        }
-    )
+    payload = _dumps({**report._asdict(), "top_k": {str(k): v for k, v in report.top_k.items()}})
     _write_lines(args.out, [payload])
     print(_format_report(report))
     if args.csv is not None:
@@ -438,12 +420,14 @@ def _route_lines(tree: RouteTree, mode: str) -> list[str]:
 
 def cmd_nld(args: argparse.Namespace, config: PipelineConfig) -> int:
     dataset_path = _resolve_dataset(args, config)
-    routes = [read_route(raw, index) for index, raw in enumerate(read_dataset(dataset_path))]
-    indices = range(len(routes))
+    entries = read_dataset(dataset_path)
+    indices = range(len(entries))
     if args.route is not None:
-        if not 0 <= args.route < len(routes):
+        if not 0 <= args.route < len(entries):
             raise SchemaError(f"route index {args.route} out of range")
         indices = [args.route]
+    # Only the records asked for are read; all of them before any is rendered.
+    routes = {index: read_route(entries[index], index) for index in indices}
     rows = ["route_id,mode,step,nld"]
     for index in indices:
         lines = _route_lines(_tree(routes[index], index), args.mode)

@@ -24,9 +24,11 @@ Shared atoms and counts: each bare organic-subset token (C, c, Cl, ...)
 parses to one frozen Atom shared by every molecule. Each atom's degree, bond
 sum and hydrogen counts are set when a Molecule is built, parsed or by hand.
 
-Bond table: a process-wide dict from (a, b, order, direction) to the frozen
-Bond parse_smiles gives every bond with those fields, so a parse allocates no
-Bond it has built before. It grows by one entry per distinct tuple the
+Bond orders are the integers SINGLE, DOUBLE, TRIPLE and AROMATIC (1-4), the
+codes that ranks, shapes and bond sums compute with. Shared bonds:
+_shared_bond is functools.cache(Bond), so parse_smiles gives every bond with
+the same (a, b, order, direction) one frozen Bond and allocates no Bond it
+has built before. Its cache grows by one entry per distinct tuple the
 process parses (bounded by the atom index pairs its texts bond, a few
 thousand for a reward round) and is never cleared. Bonds are equal by value
 whether shared or built by hand; Bond._replace on one builds a new Bond.
@@ -63,19 +65,14 @@ writer; nothing of it is kept on the Molecule or in the module.
 
 from __future__ import annotations
 
+import functools
 import re
 from typing import NamedTuple
 
 from .errors import SmilesSyntaxError
 
-# Single/double/triple/aromatic as strings keeps the graph readable in dumps;
-# the code table below is used wherever a sortable form is needed.
-SINGLE = "single"
-DOUBLE = "double"
-TRIPLE = "triple"
-AROMATIC = "aromatic"
-
-BOND_CODE = {SINGLE: 1, DOUBLE: 2, TRIPLE: 3, AROMATIC: 4}
+# Bond orders, as the integer codes that ranks, shapes and bond sums use.
+SINGLE, DOUBLE, TRIPLE, AROMATIC = 1, 2, 3, 4
 _BOND_CHAR = {"-": SINGLE, "=": DOUBLE, "#": TRIPLE, ":": AROMATIC, "/": SINGLE, "\\": SINGLE}
 
 # All 118 element symbols; membership check only, no other periodic data needed.
@@ -167,20 +164,13 @@ def _implicit_hydrogens(atom: Atom, sigma: int) -> int:
 class Bond(NamedTuple):
     a: int
     b: int
-    order: str
+    order: int
     direction: str | None = None
 
 
-# (a, b, order, direction) -> the shared Bond parse_smiles gives it; see the
+# The shared Bond parse_smiles gives each (a, b, order, direction); see the
 # module docstring.
-_BONDS: dict[tuple[int, int, str, str | None], Bond] = {}
-
-
-def _shared_bond(key: tuple[int, int, str, str | None]) -> Bond:
-    bond = _BONDS.get(key)
-    if bond is None:
-        bond = _BONDS[key] = Bond(*key)
-    return bond
+_shared_bond = functools.cache(Bond)
 
 
 class Molecule:
@@ -207,7 +197,7 @@ class Molecule:
         degrees = [0] * len(atoms)
         sums = [0] * len(atoms)
         for a, b, order, _ in bonds:
-            share = 1 if order == AROMATIC else BOND_CODE[order]
+            share = 1 if order == AROMATIC else order
             degrees[a] += 1
             degrees[b] += 1
             sums[a] += share
@@ -323,10 +313,8 @@ def _bond(aromatic: list[bool], i: int, j: int, symbol: str | None) -> Bond:
     """The shared Bond from atom i to atom j written with symbol (None when
     no bond symbol was written), given each atom's aromatic flag."""
     if symbol is None:
-        key = (i, j, AROMATIC if aromatic[i] and aromatic[j] else SINGLE, None)
-    else:
-        key = (i, j, _BOND_CHAR[symbol], symbol if symbol in "/\\" else None)
-    return _shared_bond(key)
+        return _shared_bond(i, j, AROMATIC if aromatic[i] and aromatic[j] else SINGLE, None)
+    return _shared_bond(i, j, _BOND_CHAR[symbol], symbol if symbol in "/\\" else None)
 
 
 def _parse_component(text: str, start: int) -> tuple[Molecule, int]:
@@ -481,7 +469,7 @@ def _demote_aromatic_bridges(
             end[p] = end[x]
     for k in candidates:
         if low[x := bonds[k].b] >= x and high[x] < end[x]:
-            bonds[k] = _shared_bond((bonds[k].a, bonds[k].b, SINGLE, None))
+            bonds[k] = _shared_bond(bonds[k].a, bonds[k].b, SINGLE, None)
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +504,7 @@ def canonical_ranks(m: Molecule) -> tuple[int, ...]:
     # than a plain object's, so each bond is read once.
     table: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for a, b, order, _ in m.bonds:
-        code = BOND_CODE[order] * n
+        code = order * n
         table[a].append((code, b))
         table[b].append((code, a))
     by_seed: dict[tuple, list[int]] = {}
@@ -604,18 +592,12 @@ def _atom_token(m: Molecule, i: int, include_stereo: bool) -> str:
     return "".join(parts)
 
 
-def _bond_token(order: str, direction: str | None, aromatic_ends: bool, include_stereo: bool) -> str:
+def _bond_token(order: int, direction: str | None, aromatic_ends: bool, include_stereo: bool) -> str:
     """The token of a bond of `order` and `direction`; `aromatic_ends` says
     whether both its atoms are aromatic."""
-    if order == SINGLE:
-        if include_stereo and direction:
-            return direction
-        return "-" if aromatic_ends else ""
-    if order == DOUBLE:
-        return "="
-    if order == TRIPLE:
-        return "#"
-    return "" if aromatic_ends else ":"
+    if include_stereo and direction and order == SINGLE:
+        return direction
+    return ("-", "=", "#", "")[order - 1] if aromatic_ends else ("", "=", "#", ":")[order - 1]
 
 
 class RootedWriter:
@@ -748,9 +730,9 @@ def _shape(m: Molecule, ranks: tuple[int, ...]) -> str:
     n4 = n * 4
     values += sorted(
         [
-            x * n4 + y * 4 + BOND_CODE[order]
+            x * n4 + y * 4 + order
             if (x := ranks[a]) < (y := ranks[b])
-            else y * n4 + x * 4 + BOND_CODE[order]
+            else y * n4 + x * 4 + order
             for a, b, order, _ in m.bonds
         ]
     )

@@ -7,7 +7,7 @@ equality can be compared against it.
 from __future__ import annotations
 
 from molgraph import incidence, other
-from retroroute.smiles import BOND_CODE, Bond, Molecule
+from retroroute.smiles import Bond, Molecule
 
 
 def _node_invariant(m: Molecule, adjacency: list[list[Bond]], i: int) -> tuple:
@@ -19,7 +19,7 @@ def _node_invariant(m: Molecule, adjacency: list[list[Bond]], i: int) -> tuple:
         atom.aromatic,
         m._effective[i],
         len(adjacency[i]),
-        tuple(sorted(BOND_CODE[bond.order] for bond in adjacency[i])),
+        tuple(sorted(bond.order for bond in adjacency[i])),
     )
 
 
@@ -54,7 +54,7 @@ def is_isomorphic(a: Molecule, b: Molecule) -> bool:
 
     def edges_to_mapped(
         adjacency: list[list[Bond]], i: int, placed: dict[int, int]
-    ) -> list[tuple[int, str]]:
+    ) -> list[tuple[int, int]]:
         return [
             (placed[other(bond, i)], bond.order)
             for bond in adjacency[i]

@@ -8,7 +8,7 @@ that canonical_ranks gives the same tuple as canonical_ranks here.
 from __future__ import annotations
 
 from molgraph import incidence, other
-from retroroute.smiles import BOND_CODE, Molecule
+from retroroute.smiles import Molecule
 
 
 def _dense_rank(keys: list) -> list[int]:
@@ -25,7 +25,7 @@ def _refine(m: Molecule, colors: list[int]) -> list[int]:
                 colors[i],
                 tuple(
                     sorted(
-                        (BOND_CODE[bond.order], colors[other(bond, i)])
+                        (bond.order, colors[other(bond, i)])
                         for bond in adjacency[i]
                     )
                 ),

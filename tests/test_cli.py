@@ -1019,6 +1019,19 @@ def test_nld_route_index_out_of_range(work, capsys):
     assert "route index 99 out of range" in capsys.readouterr().err
 
 
+def test_nld_route_flag_reads_only_that_record(tmp_path, capsys):
+    broken = copy.deepcopy(_CLEAN_INPUTS["dataset"])
+    broken["reactions"][0]["product"] = "C("
+    dataset = tmp_path / "dataset.json"
+    dataset.write_text(json.dumps([_CLEAN_INPUTS["dataset"], broken]), encoding="utf-8")
+    out = tmp_path / "nld.csv"
+    assert main(["nld", str(dataset), "--route", "0", "-o", str(out)]) == 0
+    assert out.read_text().splitlines() == ["route_id,mode,step,nld", "0,aligned,1,0.5"]
+    # Without --route every record is read before any is rendered.
+    assert main(["nld", str(dataset), "-o", str(out)]) == 2
+    assert capsys.readouterr().err == "error: record 1 reaction 0 product: unclosed branch\n"
+
+
 # ---------------------------------------------------------------------------
 # config errors
 # ---------------------------------------------------------------------------
@@ -1340,8 +1353,9 @@ def _run(argv: list[str], capsys) -> tuple[int, str, str, bytes | None]:
         ([{"product": "C(", "precursors": ["CCBr", "O"]}], "record 0 reaction 0 product: unclosed branch"),
         ([{"product": "CCO", "precursors": []}], "record 0 reaction 0: empty precursor list"),
         (5, "record 0: reactions must be an array"),
+        ([42], "record 0 reaction 0: expected an object"),
     ],
-    ids=["unparsable-product", "no-precursors", "not-an-array"],
+    ids=["unparsable-product", "no-precursors", "not-an-array", "entry-not-an-object"],
 )
 def test_eval_and_score_do_not_read_reactions(tmp_path, capsys, reactions, needle):
     clean = _answers_commands(tmp_path, _CLEAN_INPUTS["dataset"], "clean")

@@ -1,5 +1,5 @@
-"""Every function and class of the library is used by the library or the
-benchmark: none exists only for the tests."""
+"""Every function, class and module-level name of the library is used by the
+library or the benchmark: none exists only for the tests."""
 
 from __future__ import annotations
 
@@ -11,21 +11,29 @@ LIBRARY = sorted((ROOT / "src" / "retroroute").glob("*.py"))
 BENCHMARK = sorted(p for p in (ROOT / "perfbench").glob("*.py") if not p.name.startswith("test_"))
 
 
-def defined_names(tree: ast.AST) -> set[str]:
+def defined_names(tree: ast.Module) -> set[str]:
+    """Every function and class, and every name a top-level assignment binds
+    (each target of a tuple apart)."""
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    return {
+    names = {
         node.name
         for node in ast.walk(tree)
         if isinstance(node, kinds) and not (node.name.startswith("__") and node.name.endswith("__"))
     }
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return names
 
 
 def used_names(tree: ast.AST) -> set[str]:
     """Names read as a name, an attribute or a string constant; the
-    benchmark's tracer names the layers it wraps as strings."""
+    benchmark's tracer names the layers it wraps as strings. A name counts
+    only where it is loaded, since an assignment's target is a name too."""
     used = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             used.add(node.id)
         elif isinstance(node, ast.Attribute):
             used.add(node.attr)

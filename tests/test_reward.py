@@ -123,6 +123,17 @@ def test_parse_drops_broken_precursor_keeps_line():
     assert plan.invalid_line_count == 1
 
 
+def test_empty_precursor_is_a_syntax_failure_on_its_line():
+    plan = parse_plan(wrapped("CCO>>CC..O"), mol("CCO"))
+    assert [(f.line_number, f.kind, f.message) for f in plan.parse_failures] == [
+        (2, "syntax", "empty precursor")
+    ]
+    assert plan.invalid_line_count == 1
+    score = score_plan(plan, [keys_of("CC", "O")], ref_depth=1)
+    assert score.exact and math.isclose(score.penalty, 0.1, abs_tol=TOL)
+    assert math.isclose(score.total, 1.9, abs_tol=TOL)
+
+
 def test_parse_empty_answer_reports_no_lines():
     plan = parse_plan("<think>hm</think>\n\n", mol("CCO"))
     assert plan.parsed_route is None

@@ -98,6 +98,7 @@ def test_parse_charge_forms():
     assert one("[Fe++]").atoms[0].charge == 2
     assert one("[O-]S(=O)(=O)[O-]").atoms[0].charge == -1
     assert one("[N-3]").atoms[0].charge == -3
+    assert write_rooted(one("[O-2]"), 0)[0] == canonical_key(one("[O-2]")).key == "[O-2]"
 
 
 def test_parse_map_zero_means_unmapped():
@@ -157,6 +158,7 @@ def test_parse_ring_bond_order_from_either_end():
         "CC)C",  # unmatched close
         "CC=",  # dangling bond
         "C=.C",  # dangling bond at component end
+        "C(C=)C",  # dangling bond before ')'
         "=CC",  # bond before first atom
         "C==C",  # doubled bond symbol
         "C%1C",  # short %nn closure
@@ -698,6 +700,11 @@ def test_ranks_stable_across_input_order():
     a = one("CCO")
     b = one("OCC")
     assert canonical_ranks(a)[2] == canonical_ranks(b)[0]
+
+
+def test_empty_molecule_cannot_be_ranked():
+    with pytest.raises(ValueError, match="^cannot rank an empty molecule$"):
+        canonical_ranks(Molecule((), ()))
 
 
 def test_ranks_are_one_stored_tuple():

@@ -3,7 +3,10 @@
 Every command is deterministic for a given config and seed: record order is
 preserved regardless of worker count, emitted sets are sorted, and all
 randomness derives from the configured seed. Exit codes: 0 success,
-1 validation failure, 2 schema, config or file error.
+1 validation failure, 2 schema, config or file error; a failed write of
+standard output is a file error too. The process entry point, run(), ends
+the process once its output is flushed, without interpreter teardown, so
+atexit handlers do not run.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 from .align import AlignedSequence, align_route, augment_roots, default_root, render_sequence
 from .consensus import SlateEntry, vote
@@ -498,7 +501,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _apply_overrides(load_config(args.config), args)
-        return args.func(args, config)
+        try:
+            return args.func(args, config)
+        finally:
+            sys.stdout.flush()  # after an error too: run() ends without flushing it
     except (ConfigError, SchemaError, SmilesSyntaxError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -507,5 +513,17 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+def run() -> NoReturn:
+    """The process entry point: main() on the command line, then end the
+    process with its exit code. main() has flushed standard output, every
+    file is closed and every pool worker joined, so the interpreter's
+    teardown would only cost time; atexit handlers do not run. An error
+    that main() does not catch (argparse's exit, a bug) ends the process
+    the usual way."""
+    code = main()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

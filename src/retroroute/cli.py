@@ -497,14 +497,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        config = _apply_overrides(load_config(args.config), args)
         try:
-            return args.func(args, config)
+            args = build_parser().parse_args(argv)
+            return args.func(args, _apply_overrides(load_config(args.config), args))
         finally:
-            sys.stdout.flush()  # after an error too: run() ends without flushing it
+            sys.stdout.flush()  # after an error or argparse's exit too: run() ends without flushing it
     except (ConfigError, SchemaError, SmilesSyntaxError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

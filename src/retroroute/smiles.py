@@ -481,17 +481,20 @@ def canonical_ranks(m: Molecule) -> tuple[int, ...]:
     """Deterministic atom ranks, 0..n-1, stable across equivalent input orderings.
 
     Iterative invariant refinement seeded by (element, charge, isotope,
-    aromatic flag, degree, hydrogen count). The atoms are kept in cells: the
-    atoms of one colour in index order, the cells in colour order, a cell's
-    place being its atoms' colour. Each round signs only the atoms of cells
-    that still hold more than one atom, by their sorted (bond code, neighbour
-    colour) pairs packed as the integers code * n + colour, and splits each
-    such cell by its distinct signatures in sorted order. When a round splits
-    nothing, remaining ties are broken by promoting the smallest input index
-    of the first tied cell (its smallest colour) to a cell of its own ahead of
-    the rest, and refinement resumes. Map numbers and stereo marks play no
-    part. The tuple is computed once per molecule and the same object is
-    returned on every call.
+    aromatic flag, degree, hydrogen count). A cell's colour is its offset, the
+    number of atoms in the cells before it. Each round signs only the atoms of
+    the tied cells (of two or more atoms, listed in offset order) by their
+    (bond code, neighbour colour) pairs packed as code * n + colour: one such
+    integer at degree 1, the pair (low, high) at degree 2, the sorted tuple at
+    any other degree, all of which order as the sorted tuples would. Each cell
+    splits by its distinct signatures in sorted order, each piece in index
+    order at its own offset. Once the round is over, only the atoms of pieces
+    after a cell's first are relabelled. When a round splits nothing,
+    remaining ties are broken by promoting the smallest input index of the
+    first tied cell (its smallest colour) to a cell of its own ahead of the
+    rest, and refinement resumes. Once no cell is tied, each offset is a rank.
+    Map numbers and stereo marks play no part. The tuple is computed once per
+    molecule and the same object is returned on every call.
     """
     if m._ranks is not None:
         return m._ranks
@@ -518,34 +521,52 @@ def canonical_ranks(m: Molecule) -> tuple[int, ...]:
             m._effective[i],
         )
         by_seed.setdefault(seed, []).append(i)
-    cells = [by_seed[seed] for seed in sorted(by_seed)]
     colour = [0] * n
-    start: int | None = 0  # the first cell whose atoms need their colour set
-    while True:
-        for c in range(start, len(cells)):
-            for i in cells[c]:
-                colour[i] = c
-        start = None
-        refined: list[list[int]] = []
-        for cell in cells:
-            if len(cell) > 1:
-                groups: dict[tuple[int, ...], list[int]] = {}
+    tied: list[tuple[int, list[int]]] = []  # (offset, atoms in index order)
+    offset = 0
+    for seed in sorted(by_seed):
+        cell = by_seed[seed]
+        for i in cell:
+            colour[i] = offset
+        if len(cell) > 1:
+            tied.append((offset, cell))
+        offset += len(cell)
+    while tied:
+        refined: list[tuple[int, list[int]]] = []
+        moved: list[tuple[int, list[int]]] = []  # pieces to relabel after the round
+        for offset, cell in tied:
+            groups: dict[int | tuple[int, ...], list[int]] = {}
+            if (degree := degrees[cell[0]]) == 1:
+                for i in cell:
+                    ((code, j),) = table[i]
+                    groups.setdefault(code + colour[j], []).append(i)
+            elif degree == 2:
+                for i in cell:
+                    (code, j), (other, k) = table[i]
+                    x, y = code + colour[j], other + colour[k]
+                    groups.setdefault((x, y) if x < y else (y, x), []).append(i)
+            else:
                 for i in cell:
                     signature = tuple(sorted([code + colour[j] for code, j in table[i]]))
                     groups.setdefault(signature, []).append(i)
-                if len(groups) > 1:
-                    if start is None:
-                        start = len(refined)
-                    refined.extend(groups[signature] for signature in sorted(groups))
-                    continue
-            refined.append(cell)
-        if start is None:
-            if len(cells) == n:
-                break
-            start = next(c for c, cell in enumerate(cells) if len(cell) > 1)
-            tied = cells[start]
-            refined[start : start + 1] = [tied[:1], tied[1:]]
-        cells = refined
+            if len(groups) == 1:
+                refined.append((offset, cell))
+                continue
+            pieces = [groups[signature] for signature in sorted(groups)]
+            for piece in pieces:
+                if len(piece) > 1:
+                    refined.append((offset, piece))
+                if piece is not pieces[0]:
+                    moved.append((offset, piece))
+                offset += len(piece)
+        if not moved:  # promote the first atom of the first tied cell
+            offset, cell = tied[0]
+            moved.append((offset + 1, cell[1:]))
+            refined[:1] = moved if len(cell) > 2 else []
+        for offset, piece in moved:
+            for i in piece:
+                colour[i] = offset
+        tied = refined
     m._ranks = tuple(colour)
     return m._ranks
 

@@ -114,15 +114,18 @@ def test_module_entry_point_matches_main(inputs, capsys, case, expected_code):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-@pytest.mark.parametrize("command", ["eval", "ingest", "score"])
+@pytest.mark.parametrize("command", ["eval", "ingest", "score", "help", "vote-help"])
 def test_a_failed_write_of_buffered_stdout_exits_two(inputs, command):
     # Block-buffered stdout first fails when it is flushed; that failure is
-    # the usual one-line error and exit 2, not Python's exit 120.
+    # the usual one-line error and exit 2, not Python's exit 120. argparse
+    # prints --help and then exits; its exit ends the same way.
     out = str(inputs.base / f"{command}.out")
     argv = {
         "eval": ["eval", inputs.ranked, inputs.dataset, "-o", out],
         "ingest": ["ingest", inputs.dataset, inputs.stock],
         "score": ["score", inputs.plans, inputs.dataset, "-o", out],
+        "help": ["--help"],
+        "vote-help": ["vote", "--help"],
     }[command]
     with open("/dev/full", "w") as full:
         result = fresh(["-m", "retroroute.cli", *argv], stdout=full)

@@ -772,6 +772,12 @@ def ranks_corpus() -> list[Molecule]:
     for _ in range(150):
         m = rand_molecule(rng, max_atoms=20)
         molecules += [m] + [permuted(m, rng) for _ in range(5)]
+    # A tied cell of isolated atoms, which only promotions split; a long
+    # chain; cells of degree 4 and 6; degree-2 cells whose two bonds are both
+    # double, or one double and one single; an aromatic ring with one n.
+    molecules.append(Molecule(tuple(Atom(element) for element in "CCOCCC"), ()))
+    molecules.append(Molecule(tuple(Atom("C") for _ in range(300)), tuple(Bond(i, i + 1, SINGLE) for i in range(299))))
+    molecules += [one(text) for text in ("CC(C)(C)C", "FS(F)(F)(F)(F)F", "C=C=C=C", "C=CC=CC=C", "c1ccncc1")]
     return molecules
 
 

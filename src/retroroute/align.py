@@ -83,7 +83,7 @@ def align_route(
             text, _ = write(precursor, child_root)
             entries.append((anchor, i, text, child_root, child))
 
-        entries.sort(key=lambda e: (e[0], e[1]))
+        entries.sort()
         anchors, _, texts, roots, children = zip(*entries)
         return AlignedStep(product_text, texts, anchors, roots), children
 

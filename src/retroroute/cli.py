@@ -127,8 +127,7 @@ def _apply_overrides(config: PipelineConfig, args: argparse.Namespace) -> Pipeli
             updates[name] = value
     if getattr(args, "strict_delimiters", False):
         updates["reward"] = config.reward._replace(strict_format=True)
-    if updates:
-        config = config._replace(**updates)
+    config = config._replace(**updates)
     config.validate()
     return config
 

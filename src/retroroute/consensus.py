@@ -5,6 +5,7 @@ their routes were written down."""
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import NamedTuple, Sequence
 
 from .smiles import CanonicalKey
@@ -27,13 +28,10 @@ class RankedCandidate(NamedTuple):
 def vote(entries: Sequence[SlateEntry]) -> list[RankedCandidate]:
     """Collapse entries sharing a precursor set and rank the survivors by
     vote count, breaking ties toward the earliest entry."""
-    counts: dict[frozenset[CanonicalKey], int] = {}
+    counts: Counter[frozenset[CanonicalKey]] = Counter()
     first_entry: dict[frozenset[CanonicalKey], SlateEntry] = {}
     for entry in entries:
-        counts[entry.precursors] = counts.get(entry.precursors, 0) + 1
+        counts[entry.precursors] += 1
         first_entry.setdefault(entry.precursors, entry)
-    # first_entry is in order of first appearance and the sort is stable.
-    ranked = [RankedCandidate(entry, counts[key]) for key, entry in first_entry.items()]
-    ranked.sort(key=lambda c: -c.votes)
-    return ranked
-
+    # counts keeps the order of first appearance, and most_common() sorts stably.
+    return [RankedCandidate(first_entry[key], votes) for key, votes in counts.most_common()]

@@ -60,9 +60,7 @@ def topk_accuracy(records: Sequence[EvalRecord], k_max: int = 5) -> EvalReport:
     bucket_counts = {label: 0 for label in DEPTH_BUCKETS}
     for record in records:
         first_hit: int | None = None
-        for rank, candidate in enumerate(record.candidates, start=1):
-            if rank > k_max:
-                break
+        for rank, candidate in enumerate(record.candidates[:k_max], start=1):
             if is_success(
                 candidate.precursors,
                 candidate.depth,

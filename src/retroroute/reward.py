@@ -73,8 +73,9 @@ class GeneratedPlan(NamedTuple):
 
     @property
     def invalid_line_count(self) -> int:
-        """Reaction lines containing at least one syntactically or chemically
-        invalid SMILES."""
+        """Answer lines with at least one "syntax" or "valence" failure: a
+        non-blank line without '>>', an empty or unparsable precursor, or a
+        product or precursor that parses but fails the valence check."""
         return len(
             {f.line_number for f in self.parse_failures if f.kind in ("syntax", "valence")}
         )

@@ -90,7 +90,7 @@ class Route:
         leaves = {k for r in reactions for k in r.precursor_keys() if k not in producers}
         if not reactions:
             leaves = {canonical_key(target)}
-        depths, cycle = _depths(reactions, producers)
+        depths, cycle = _depths(producers)
         self.target = target
         self.reactions = tuple(reactions)
         self.producers = producers
@@ -255,7 +255,7 @@ def load_stock(path: str | Path) -> frozenset[CanonicalKey]:
 
 
 def _depths(
-    reactions: tuple[Reaction, ...], producers: dict[CanonicalKey, Reaction]
+    producers: dict[CanonicalKey, Reaction],
 ) -> tuple[dict[CanonicalKey, int], tuple[str, ...]]:
     """One depth-first walk of the precursor->product graph, from each
     product in reaction order. Returns the depth in reaction steps of each
@@ -267,8 +267,7 @@ def _depths(
         return reaction.precursor_keys() if reaction is not None else []
 
     depth: dict[CanonicalKey, int] = {}  # -1 while the key is on the stack
-    for reaction in reactions:
-        start = reaction.product_key
+    for start in producers:
         if start in depth:
             continue
         # Each key on the walk, with the precursors it has yet to yield.

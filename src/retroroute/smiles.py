@@ -325,7 +325,6 @@ def _parse_component(text: str, start: int) -> tuple[Molecule, int]:
     aromatic: list[bool] = []  # each atom's flag, read once
     bonds: list[Bond] = []
     aromatic_chain: list[int] = []  # aromatic chain bonds between aromatic atoms
-    closures: list[int] = []  # ring-closure bonds
     branch_stack: list[int] = []
     open_rings: dict[int, tuple[int, str | None]] = {}
     parents: list[int | None] = []  # each atom's chain-bonded atom before it, if any
@@ -377,7 +376,6 @@ def _parse_component(text: str, start: int) -> tuple[Molecule, int]:
                 if parents[pair[1]] == pair[0] or pair in closed:
                     raise SmilesSyntaxError(f"duplicate bond via ring closure {number}")
                 closed.add(pair)
-                closures.append(len(bonds))
                 bonds.append(_bond(aromatic, other, previous, symbol))
             else:
                 open_rings[number] = (previous, pending_bond)
@@ -434,14 +432,14 @@ def _parse_component(text: str, start: int) -> tuple[Molecule, int]:
     if not atoms:
         raise SmilesSyntaxError("empty component")
     if aromatic_chain:
-        _demote_aromatic_bridges(bonds, parents, aromatic_chain, closures)
+        _demote_aromatic_bridges(bonds, parents, aromatic_chain, closed)
     source = text[start:i]
     key = _KEYS.get(source)
     return Molecule(tuple(atoms), tuple(bonds), source, _key=key, _from_text=True), i
 
 
 def _demote_aromatic_bridges(
-    bonds: list[Bond], parents: list[int | None], candidates: list[int], closures: list[int]
+    bonds: list[Bond], parents: list[int | None], candidates: list[int], closed: set[tuple[int, int]]
 ) -> None:
     """Make each candidate chain bond that lies on no ring single, in place.
 
@@ -455,8 +453,7 @@ def _demote_aromatic_bridges(
     """
     n = len(parents)
     low, high, end = list(range(n)), list(range(n)), list(range(1, n + 1))
-    for k in closures:
-        a, b = bonds[k].a, bonds[k].b
+    for a, b in closed:
         low[a], high[a] = min(low[a], b), max(high[a], b)
         low[b], high[b] = min(low[b], a), max(high[b], a)
     for x in range(n - 1, bonds[candidates[0]].b, -1):

@@ -227,6 +227,14 @@ def test_invalid_line_count_is_per_line():
     assert plan.invalid_line_count == 2
 
 
+def test_a_prose_line_in_an_exact_plan_costs_one_invalid_line():
+    plan = parse_plan(wrapped("Here is the route:", "CCO>>CC=O"), mol("CCO"))
+    assert plan.invalid_line_count == 1
+    score = score_plan(plan, [keys_of("CC=O")], ref_depth=1)
+    assert score.exact is True and score.invalid_lines == 1
+    assert math.isclose(score.total, 1.9, abs_tol=TOL)
+
+
 def test_repeated_bad_precursor_is_a_failure_on_each_line():
     plan = parse_plan(wrapped("CCO>>CC=O.C(", "CC=O>>CC.C("), mol("CCO"))
     assert plan.parsed_route is not None

@@ -62,7 +62,7 @@ class RewardConfig(NamedTuple):
 
 class PlanLineIssue(NamedTuple):
     line_number: int
-    kind: str  # "syntax" | "valence" | "structure"
+    kind: str  # "prose" | "syntax" | "valence" | "structure"
     message: str
 
 
@@ -73,9 +73,9 @@ class GeneratedPlan(NamedTuple):
 
     @property
     def invalid_line_count(self) -> int:
-        """Answer lines with at least one "syntax" or "valence" failure: a
-        non-blank line without '>>', an empty or unparsable precursor, or a
-        product or precursor that parses but fails the valence check."""
+        """Answer lines with at least one "syntax" or "valence" failure: an
+        empty or unparsable precursor, or a product or precursor that fails
+        the valence check. A "prose" line (no '>>') is not counted."""
         return len(
             {f.line_number for f in self.parse_failures if f.kind in ("syntax", "valence")}
         )
@@ -137,7 +137,7 @@ def parse_plan(
         if not line:
             continue
         if ">>" not in line:
-            failures.append(PlanLineIssue(line_number, "syntax", "missing '>>'"))
+            failures.append(PlanLineIssue(line_number, "prose", "missing '>>'"))
             continue
         product_text, _, rhs = line.partition(">>")
         product, kind, message = parse(product_text.strip())

@@ -350,10 +350,15 @@ class RouteTree(NamedTuple):
     root: RouteNode
 
 
+# Stacked convergent intermediates double a tree at each level: to_tree stops here.
+_MAX_TREE_NODES = 100_000
+
+
 def to_tree(route: Route) -> RouteTree:
     """Decouple convergent intermediates by duplicating every occurrence
-    beyond the first. Raises CycleError on cyclic routes and RouteError when
-    a molecule has more than one producing reaction."""
+    beyond the first. Raises CycleError on cyclic routes, and RouteError when
+    a molecule has more than one producing reaction or when the tree would
+    have more than 100,000 nodes (molecule occurrences)."""
     if route.cycle:
         raise CycleError(f"route contains a cycle through {list(route.cycle)}")
     if route.made_twice:
@@ -366,6 +371,10 @@ def to_tree(route: Route) -> RouteTree:
     preorder: list[RouteNode] = []
     stack: list[tuple[Molecule, RouteNode | None]] = [(route.target, None)]
     while stack:
+        if len(preorder) == _MAX_TREE_NODES:
+            molecules = len(route.producers) + len(route.stock_refs)
+            message = f"route tree passes {_MAX_TREE_NODES} nodes ({molecules} distinct molecules)"
+            raise RouteError(message)
         molecule, parent = stack.pop()
         reaction = route.producers.get(canonical_key(molecule))
         node = RouteNode(len(preorder), molecule, reaction, ())

@@ -20,9 +20,21 @@ only, never molecules; it grows by one entry per distinct component text the
 process reads and keys, and is never cleared. Hand-built Molecules neither
 read nor fill it. Each pool worker has its own copy.
 
-Shared atoms and counts: each bare organic-subset token (C, c, Cl, ...)
-parses to one frozen Atom shared by every molecule. Each atom's degree, bond
-sum and hydrogen counts are set when a Molecule is built, parsed or by hand.
+Atom table: a process-wide dict from each atom token as written, a bare
+symbol (C, c, Cl, ...) or a whole bracket token ([CH3:1]), to its frozen Atom,
+shared by every molecule. It starts with the bare symbols and gains each
+bracket token that parses, so each is matched once per process; whoever
+clears it must re-enter the bare symbols.
+
+Kind table: a process-wide dict from an atom's kind, its (element, aromatic
+flag, charge, isotope as written), to one _Kind holding every fact those
+fields decide: a code (its index of first use), the rank seed, the implicit
+hydrogens for each bond sum, the valence rule and the written forms. Map
+numbers, chirality and pinned hydrogens are per atom, so [CH3:1] and
+[CH3:2] are two tokens of one kind. A Molecule, parsed or hand-built, looks
+its atoms' kinds up when it is built, and sets each atom's degree, bond sum
+and hydrogen counts then. The table is never cleared, so codes stay unique;
+a pickled kind is looked up again by its fields where it is loaded.
 
 Bond orders are the integers SINGLE, DOUBLE, TRIPLE and AROMATIC (1-4), the
 codes that ranks, shapes and bond sums compute with. Shared bonds:
@@ -34,28 +46,20 @@ thousand for a reward round) and is never cleared. Bonds are equal by value
 whether shared or built by hand; Bond._replace on one builds a new Bond.
 Each pool worker has its own copy.
 
-Bracket table: another process-wide dict, from the body of a bracket atom
-(the text between [ and ]) to the frozen Atom it parses to, so each distinct
-body runs the bracket pattern once per process. Only bodies that parse are
-kept; it grows by one entry per distinct body and is never cleared.
-
 Shape table: a process-wide dict from the shape of a molecule's
 rank-labelled graph to its CanonicalKey, so canonical_key writes a molecule
 only the first time its shape is seen. A shape is one string holding the
-atom count; per atom, in rank order, a code for its element, aromatic flag,
-charge, isotope as written (None and 0 apart) and effective hydrogen count;
-and the sorted (lower rank, higher rank, bond order) triples. With stereo
-off, the key's root (rank 0), each atom's neighbour order (by rank), the
-ring digits and the tokens read these fields and nothing else (implicit
+atom count; per atom, in rank order, its kind's code and effective hydrogen
+count; and the sorted (lower rank, higher rank, bond order) triples. With
+stereo off, the key's root (rank 0), each atom's neighbour order (by rank),
+the ring digits and the tokens read these fields and nothing else (implicit
 hydrogens follow from them and the bonds), so equal shapes give byte-equal
 keys for graphs that bond no pair of atoms twice, as parse_smiles
 guarantees. Map numbers, chirality and bond directions are left out, as the
 key never writes them, so [CH3:1]C and CC share one entry. Parsed and
-hand-built molecules share the table. It grows by one entry per distinct
-ranked graph the process keys and is never cleared. The atom codes come from a companion
-dict of atom kinds in first-seen order, which grows by one entry per distinct
-kind and may only be cleared together with the shape table. Each pool worker
-has its own copy of both.
+hand-built molecules share the table; it grows by one entry per distinct
+ranked graph the process keys and is never cleared. Each pool worker has its
+own copy of every table.
 
 Rooted writing: a RootedWriter builds the tables for one molecule, with or
 without stereo marks, and keeps each root's text; write_rooted is a one-shot
@@ -66,6 +70,7 @@ writer; nothing of it is kept on the Molecule or in the module.
 from __future__ import annotations
 
 import functools
+import operator
 import re
 from typing import NamedTuple
 
@@ -141,24 +146,55 @@ class Atom(NamedTuple):
     chirality: str | None = None
 
 
-# Each bare organic-subset token's shared Atom; see the module docstring.
-_BARE_ATOMS = {symbol: Atom(symbol) for symbol in ORGANIC_SUBSET} | {
-    symbol.lower(): Atom(symbol, aromatic=True) for symbol in _BARE_AROMATIC
-}
+class _Kind:
+    """Every fact an atom's (element, aromatic flag, charge, isotope) decides;
+    one object per kind in the kind table, see the module docstring."""
+
+    __slots__ = ("fields", "code", "seed", "implicit", "allowed", "pi", "bare", "head", "tail")
+
+    def __init__(self, fields: tuple[str, bool, int, int | None], code: int) -> None:
+        element, aromatic, charge, isotope = self.fields = fields
+        self.code = code
+        self.seed = (element, charge, isotope or 0, aromatic)
+        # The hydrogens a bare rendering implies at each bond sum 0-7 (none
+        # past 7). The pi system takes one bond of an aromatic C's or B's
+        # valence; other aromatic atoms carry none.
+        aromatic_valences = (3,) if element in ("C", "B") else ()
+        valences = aromatic_valences if aromatic else _NORMAL_VALENCES.get(element, ())
+        self.implicit = tuple(next((v - s for v in valences if v >= s), 0) for s in range(8))
+        self.allowed = _ALLOWED_VALENCES.get((element, charge))
+        # molecule_is_valid's aromatic pi rule: "bonds" for C; for N, P and As
+        # the degree plus hydrogens that gives a pi unit; -1, which none has,
+        # for the rest.
+        rules = {"C": "bonds", "N": 2 + charge, "P": 2 + charge, "As": 2 + charge}
+        self.pi = rules.get(element, -1) if aromatic else -1
+        # Bare exactly when the parser reads the bare symbol back as this kind.
+        symbol = element.lower() if aromatic else element
+        self.bare = _ATOMS.get(symbol) == Atom(element, aromatic, charge, None, isotope) and symbol
+        self.head = "[" + symbol if isotope is None else f"[{isotope}{symbol}"
+        self.tail = {0: "", 1: "+", -1: "-"}.get(charge, f"{charge:+}") + "]"
+
+    def __reduce__(self):
+        # Codes are per process: a copy finds its kind again by its fields.
+        return _kind, (self.fields,)
 
 
-def _implicit_hydrogens(atom: Atom, sigma: int) -> int:
-    """Hydrogen count a bare rendering of `atom` with bond sum `sigma` implies."""
-    if atom.aromatic:
-        # One ring bond's worth of valence is absorbed by the pi system
-        # for carbon and boron; bare aromatic heteroatoms carry no H.
-        if atom.element in ("C", "B"):
-            return max(0, 3 - sigma)
-        return 0
-    for valence in _NORMAL_VALENCES.get(atom.element, ()):
-        if valence >= sigma:
-            return valence - sigma
-    return 0
+class _KindTable(dict):
+    """(element, aromatic, charge, isotope) -> _Kind, made at first lookup."""
+
+    def __missing__(self, fields: tuple[str, bool, int, int | None]) -> _Kind:
+        kind = self[fields] = _Kind(fields, len(self))
+        return kind
+
+
+_KINDS = _KindTable()
+# An Atom's (element, aromatic, charge, isotope), as one tuple.
+_KIND_FIELDS = operator.itemgetter(0, 1, 2, 4)
+
+
+def _kind(fields: tuple[str, bool, int, int | None]) -> _Kind:
+    """This process's kind of fields: what a pickled _Kind loads as."""
+    return _KINDS[fields]
 
 
 class Bond(NamedTuple):
@@ -175,8 +211,8 @@ _shared_bond = functools.cache(Bond)
 
 class Molecule:
     """One connected molecular graph. Atom order follows the source token order.
-    Each atom's degree, bond sum and hydrogen counts are set once, when it is
-    built.
+    Each atom's kind, degree, bond sum and hydrogen counts are set once, when
+    it is built.
     Equal only to itself. `_from_text` is set by parse_smiles only: the key of
     source_text may enter the key table."""
 
@@ -204,7 +240,8 @@ class Molecule:
             sums[b] += share
         self._degrees = tuple(degrees)
         self._bond_sums = tuple(sums)
-        self._implicit = tuple(map(_implicit_hydrogens, atoms, sums))
+        self._kinds = kinds = tuple(map(_KINDS.__getitem__, map(_KIND_FIELDS, atoms)))
+        self._implicit = tuple([k.implicit[s if s < 8 else 7] for k, s in zip(kinds, sums)])
         pinned = [a.explicit_hydrogens for a in atoms]
         self._effective = tuple([h if p is None else p for p, h in zip(pinned, self._implicit)])
 
@@ -222,10 +259,8 @@ class CanonicalKey(NamedTuple):
 # Exact component text -> key; see the module docstring.
 _KEYS: dict[str, CanonicalKey] = {}
 
-# Rank-labelled graph shape -> key, and each atom kind's code in shapes; see
-# the module docstring.
+# Rank-labelled graph shape -> key; see the module docstring.
 _SHAPES: dict[str, CanonicalKey] = {}
-_ATOM_KINDS: dict[tuple[str, bool, int, int | None, int], int] = {}
 
 
 # ---------------------------------------------------------------------------
@@ -247,28 +282,24 @@ _BRACKET_RE = re.compile(
 _RING_RE = re.compile(r"%(?:([0-9]{2})|\(([0-9]+)\))")
 
 
-# Bracket body (the text between [ and ]) -> its Atom; see the module docstring.
-_BRACKETS: dict[str, Atom] = {}
+# Atom token as written -> its shared Atom; see the module docstring.
+_ATOMS: dict[str, Atom] = {symbol: Atom(symbol) for symbol in ORGANIC_SUBSET} | {
+    symbol.lower(): Atom(symbol, aromatic=True) for symbol in _BARE_AROMATIC
+}
 
 
-def _parse_bracket(body: str, position: int) -> Atom:
-    atom = _BRACKETS.get(body)
-    if atom is not None:
-        return atom
-    match = _BRACKET_RE.fullmatch(body)
+def _parse_bracket(token: str, position: int) -> Atom:
+    """The Atom of a bracket token the atom table lacks, entered there."""
+    match = _BRACKET_RE.fullmatch(token, 1, len(token) - 1)
     if not match:
-        raise SmilesSyntaxError(f"bad bracket atom [{body}] at position {position}")
-    symbol = match.group("symbol")
+        raise SmilesSyntaxError(f"bad bracket atom {token} at position {position}")
+    isotope, symbol, chirality, hcount, charge_text, map_text = match.groups()
     aromatic = symbol[0].islower()
     element = symbol.capitalize() if aromatic else symbol
     if element not in ELEMENTS:
         raise SmilesSyntaxError(f"unknown element {symbol!r} at position {position}")
     if aromatic and element not in AROMATIC_ELEMENTS:
         raise SmilesSyntaxError(f"{element} cannot be aromatic (position {position})")
-    hcount = match.group("hcount")
-    charge_text = match.group("charge")
-    isotope = match.group("isotope")
-    map_text = match.group("map")
     try:  # int() refuses more digits than sys.get_int_max_str_digits()
         hydrogens = 0 if hcount is None else (1 if hcount == "H" else int(hcount[1:]))
         if charge_text is None:
@@ -281,14 +312,14 @@ def _parse_bracket(body: str, position: int) -> Atom:
         map_number = int(map_text) if map_text else None
     except ValueError:
         raise SmilesSyntaxError(f"bracket atom number too long at position {position}") from None
-    atom = _BRACKETS[body] = Atom(
+    atom = _ATOMS[token] = Atom(
         element=element,
         aromatic=aromatic,
         charge=charge,
         explicit_hydrogens=hydrogens,
         isotope=isotope_number,
         map_number=map_number or None,  # :0 is no map number
-        chirality=match.group("chirality"),
+        chirality=chirality,
     )
     return atom
 
@@ -336,18 +367,19 @@ def _parse_component(text: str, start: int) -> tuple[Molecule, int]:
     while i < length:
         ch = text[i]
         # Bare organic-subset atom; the two-character symbols start with B or C.
-        atom = _BARE_ATOMS.get(ch)
+        atom = _ATOMS.get(ch)
         if atom is not None:
             two = text[i : i + 2]
             if two == "Cl" or two == "Br":
-                atom = _BARE_ATOMS[two]
+                atom = _ATOMS[two]
                 i += 1
             i += 1
         elif ch == "[":
             end = text.find("]", i)
             if end < 0:
                 raise SmilesSyntaxError(f"unterminated bracket at position {i}")
-            atom = _parse_bracket(text[i + 1 : end], i)
+            token = text[i : end + 1]
+            atom = _ATOMS.get(token) or _parse_bracket(token, i)
             i = end + 1
         elif ch in _DIGITS or ch == "%":
             if ch == "%":
@@ -477,8 +509,8 @@ def _demote_aromatic_bridges(
 def canonical_ranks(m: Molecule) -> tuple[int, ...]:
     """Deterministic atom ranks, 0..n-1, stable across equivalent input orderings.
 
-    Iterative invariant refinement seeded by (element, charge, isotope,
-    aromatic flag, degree, hydrogen count). A cell's colour is its offset, the
+    Iterative invariant refinement seeded by ((element, charge, isotope,
+    aromatic flag), degree, hydrogen count). A cell's colour is its offset, the
     number of atoms in the cells before it. Each round signs only the atoms of
     the tied cells (of two or more atoms, listed in offset order) by their
     (bond code, neighbour colour) pairs packed as code * n + colour: one such
@@ -508,15 +540,7 @@ def canonical_ranks(m: Molecule) -> tuple[int, ...]:
         table[a].append((code, b))
         table[b].append((code, a))
     by_seed: dict[tuple, list[int]] = {}
-    for i, atom in enumerate(m.atoms):
-        seed = (
-            atom.element,
-            atom.charge,
-            atom.isotope or 0,
-            atom.aromatic,
-            degrees[i],
-            m._effective[i],
-        )
+    for i, seed in enumerate(zip([kind.seed for kind in m._kinds], degrees, m._effective)):
         by_seed.setdefault(seed, []).append(i)
     colour = [0] * n
     tied: list[tuple[int, list[int]]] = []  # (offset, atoms in index order)
@@ -574,40 +598,13 @@ def canonical_ranks(m: Molecule) -> tuple[int, ...]:
 
 
 def _atom_token(m: Molecule, i: int, include_stereo: bool) -> str:
-    element, aromatic, charge, _, isotope, _, chirality = m.atoms[i]
-    implicit = m._implicit[i]
+    kind = m._kinds[i]
     effective = m._effective[i]
-    bare_allowed = (
-        element in ORGANIC_SUBSET
-        and charge == 0
-        and isotope is None
-        and (chirality is None or not include_stereo)
-        and (not aromatic or element in _BARE_AROMATIC)
-        and effective == implicit
-    )
-    symbol = element.lower() if aromatic else element
-    if bare_allowed:
-        return symbol
-    parts = ["["]
-    if isotope is not None:
-        parts.append(str(isotope))
-    parts.append(symbol)
-    if include_stereo and chirality:
-        parts.append(chirality)
-    if effective == 1:
-        parts.append("H")
-    elif effective > 1:
-        parts.append(f"H{effective}")
-    if charge == 1:
-        parts.append("+")
-    elif charge == -1:
-        parts.append("-")
-    elif charge > 0:
-        parts.append(f"+{charge}")
-    elif charge < 0:
-        parts.append(str(charge))
-    parts.append("]")
-    return "".join(parts)
+    chirality = m.atoms[i].chirality if include_stereo else None
+    if kind.bare and chirality is None and effective == m._implicit[i]:
+        return kind.bare
+    hydrogens = "" if effective == 0 else "H" if effective == 1 else f"H{effective}"
+    return f"{kind.head}{chirality or ''}{hydrogens}{kind.tail}"
 
 
 def _bond_token(order: int, direction: str | None, aromatic_ends: bool, include_stereo: bool) -> str:
@@ -733,18 +730,14 @@ def write_rooted(m: Molecule, root: int, *, include_stereo: bool = True) -> tupl
 
 def _shape(m: Molecule, ranks: tuple[int, ...]) -> str:
     """Everything the key text of m reads, labelled by rank: the atom count,
-    each atom's kind code in rank order, then the sorted bonds as
-    (lower rank * n + higher rank) * 4 + bond code; as the repr of that list
-    of integers, which is compact and exact at any size."""
+    each atom's kind code and hydrogen count in rank order, then the sorted
+    bonds as (lower rank * n + higher rank) * 4 + bond code; as the repr of
+    that list of integers, which is compact and exact at any size."""
     n = len(ranks)
-    values = [n] * (n + 1)
-    hydrogens = m._effective
-    for i, atom in enumerate(m.atoms):
-        kind = (atom.element, atom.aromatic, atom.charge, atom.isotope, hydrogens[i])
-        code = _ATOM_KINDS.get(kind)
-        if code is None:
-            code = _ATOM_KINDS[kind] = len(_ATOM_KINDS)
-        values[ranks[i] + 1] = code
+    values = [n] * (2 * n + 1)
+    for rank, kind, hydrogens in zip(ranks, m._kinds, m._effective):
+        values[2 * rank + 1] = kind.code
+        values[2 * rank + 2] = hydrogens
     n4 = n * 4
     values += sorted(
         [
@@ -793,20 +786,11 @@ def molecule_is_valid(m: Molecule) -> bool:
     charge (pyridine n, pyridinium [nH+] and [n+]C style).
     Element/charge combinations outside the tables pass by default.
     """
-    for i, atom in enumerate(m.atoms):
-        element = atom.element
-        allowed = _ALLOWED_VALENCES.get((element, atom.charge))
+    for kind, sigma, degree, hydrogens in zip(m._kinds, m._bond_sums, m._degrees, m._effective):
+        allowed = kind.allowed
         if allowed is None:
             continue
-        hydrogens = m._effective[i]
-        sigma = m._bond_sums[i]
-        pi = False
-        if atom.aromatic:
-            degree = m._degrees[i]
-            if element == "C":
-                pi = sigma == degree
-            elif element in ("N", "P", "As"):
-                pi = degree + hydrogens == 2 + atom.charge
+        pi = sigma == degree if kind.pi == "bonds" else degree + hydrogens == kind.pi
         if sigma + hydrogens + pi not in allowed:
             return False
     return True

@@ -346,3 +346,19 @@ def rand_dataset(
         rand_route_record(rng, index=i, convergence=convergence, max_depth=max_depth)
         for i in range(count)
     ]
+
+
+def diamond_chain(levels: int) -> list[tuple[str, list[str]]]:
+    """The reactions, as (product, precursors) texts, of `levels` stacked
+    diamonds X_k>>Y_k.Z_k, Y_k>>X_k+1 and Z_k>>X_k+1.Cl over distinct
+    molecules; the target is X_0. Every convergent X_k+1 is copied under both
+    branches, so the tree has 5 * 2**levels - 4 nodes."""
+
+    def chain(head: str, k: int) -> str:
+        return head + "C" * (k + 1)
+
+    reactions = []
+    for k in range(levels):
+        x, y, z, after = chain("O", k), chain("N", k), chain("S", k), chain("O", k + 1)
+        reactions += [(x, [y, z]), (y, [after]), (z, [after, "Cl"])]
+    return reactions

@@ -17,6 +17,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -26,7 +27,7 @@ from hypothesis import strategies as st
 
 import golden
 import retroroute.cli
-from generators import rand_dataset, write_dataset
+from generators import diamond_chain, rand_dataset, write_dataset
 from retroroute.align import align_route, default_root, render_sequence
 from retroroute.cli import PipelineConfig, load_config, main
 from retroroute.evaluate import depth_bucket
@@ -254,6 +255,20 @@ def test_route_that_cannot_become_a_tree_exits_one(tmp_path, capsys, command, st
     dataset.write_text(json.dumps([record(steps[:1]), record(steps)]), encoding="utf-8")
     assert main([command, str(dataset), "-o", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == f"error: record 1: {needle}\n"
+
+
+@pytest.mark.parametrize("command", ["align", "nld"])
+def test_route_whose_tree_doubles_forty_times_exits_one_at_once(tmp_path, capsys, command):
+    # 3 * 2**40 tree nodes from 120 reactions: the tree stops at its limit.
+    reactions = [{"product": p, "precursors": q} for p, q in diamond_chain(40)]
+    raw = {"target": "OC", "reactions": reactions, "references": [["Cl"]], "ref_depth": 1}
+    dataset = tmp_path / "dataset.json"
+    dataset.write_text(json.dumps([raw]), encoding="utf-8")
+    started = time.perf_counter()
+    assert main([command, str(dataset), "-o", str(tmp_path / "out")]) == 1
+    assert time.perf_counter() - started < 10
+    message = "route tree passes 100000 nodes (122 distinct molecules)"
+    assert capsys.readouterr().err == f"error: record 0: {message}\n"
 
 
 @pytest.mark.parametrize("mode", ["aligned", "canonical"])

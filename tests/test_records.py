@@ -3,10 +3,15 @@ value; its graph objects compare by identity."""
 
 from __future__ import annotations
 
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import retroroute
 from retroroute.align import AlignedSequence, AlignedStep
 from retroroute.cli import PipelineConfig
 from retroroute.consensus import RankedCandidate, SlateEntry
@@ -101,3 +106,22 @@ def test_a_molecule_round_trips_through_pickle():
     assert copy is not m and vars(copy).keys() == vars(m).keys()
     assert (copy.atoms, copy.bonds, copy.source_text) == (m.atoms, m.bonds, m.source_text)
     assert copy._effective == m._effective and canonical_key(copy) == key
+
+
+def test_a_molecule_pickled_in_one_process_keeps_its_atom_kinds_in_another(tmp_path):
+    # Kind codes are numbered per process, in order of first use. Methane
+    # pickled where C was kind 0 must not take the kind [NH4+] got first.
+    env = {**os.environ, "PYTHONPATH": str(Path(retroroute.__file__).resolve().parents[1])}
+    saved = tmp_path / "methane.pickle"
+    dump = "from retroroute.smiles import parse_smiles; m = parse_smiles('C')[0]"
+    dump += "; import pickle, sys; open(sys.argv[1], 'wb').write(pickle.dumps(m))"
+    load = "from retroroute.smiles import canonical_key, parse_smiles"
+    load += "; canonical_key(parse_smiles('[NH4+]')[0])"
+    load += "; import pickle, sys; m = pickle.loads(open(sys.argv[1], 'rb').read())"
+    load += "; print(canonical_key(m).key)"
+    for code in (dump, load):
+        done = subprocess.run(
+            [sys.executable, "-c", code, str(saved)], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+    assert done.stdout == "C\n"

@@ -227,12 +227,33 @@ def test_invalid_line_count_is_per_line():
     assert plan.invalid_line_count == 2
 
 
-def test_a_prose_line_in_an_exact_plan_costs_one_invalid_line():
+def test_a_prose_line_in_an_exact_plan_costs_nothing():
     plan = parse_plan(wrapped("Here is the route:", "CCO>>CC=O"), mol("CCO"))
-    assert plan.invalid_line_count == 1
+    assert [(f.line_number, f.kind) for f in plan.parse_failures] == [(2, "prose")]
+    assert plan.invalid_line_count == 0
     score = score_plan(plan, [keys_of("CC=O")], ref_depth=1)
+    assert score.exact is True and score.invalid_lines == 0
+    assert math.isclose(score.total, 2.0, abs_tol=TOL)
+
+
+def test_prose_before_between_and_after_reaction_lines_is_never_charged():
+    lines = ["First:", "CCO>>CC=O.Cl(C)C", "then", "CC=O>>CC.O", "Done, 2 steps."]
+    plan = parse_plan(wrapped(*lines), mol("CCO"))
+    assert plan.parsed_route is not None
+    kinds = [(f.line_number, f.kind) for f in plan.parse_failures]
+    assert kinds == [(2, "prose"), (3, "valence"), (4, "prose"), (6, "prose")]
+    assert plan.invalid_line_count == 1
+    score = score_plan(plan, [keys_of("CC", "O", "Cl(C)C")], ref_depth=2)
     assert score.exact is True and score.invalid_lines == 1
     assert math.isclose(score.total, 1.9, abs_tol=TOL)
+    # Prose alone is still no plan, and an empty precursor still a syntax failure.
+    only_prose = parse_plan(wrapped("No idea.", "Sorry."), mol("CCO"))
+    assert only_prose.parsed_route is None
+    assert [f.kind for f in only_prose.parse_failures] == ["prose", "prose", "structure"]
+    assert only_prose.parse_failures[-1].message == "no reaction lines"
+    assert score_plan(only_prose, [keys_of("CC=O")], ref_depth=1).total == 0.0
+    empty = parse_plan(wrapped("Route:", "CCO>>"), mol("CCO"))
+    assert [f.kind for f in empty.parse_failures] == ["prose", "syntax", "structure"]
 
 
 def test_repeated_bad_precursor_is_a_failure_on_each_line():

@@ -10,7 +10,8 @@ import sys
 import pytest
 
 import golden
-from generators import rand_dataset, rand_route_record, write_dataset
+from generators import diamond_chain, rand_dataset, rand_route_record, write_dataset
+from retroroute import routes
 from retroroute.errors import CycleError, RouteError, SchemaError
 from retroroute.routes import (
     Reaction,
@@ -243,6 +244,20 @@ def test_tree_rejects_cycles_and_duplicate_producers():
     doubled = Route(mol("CCO"), (rxn("CCO", "CC=O"), rxn("CCO", "CCBr")))
     with pytest.raises(ValueError):
         to_tree(doubled)
+
+
+def test_tree_stops_past_its_node_limit(monkeypatch):
+    # Two stacked diamonds: 16 nodes over 8 distinct molecules.
+    r = route("OC", *(rxn(product, *precursors) for product, precursors in diamond_chain(2)))
+    monkeypatch.setattr(routes, "_MAX_TREE_NODES", 16)
+    nodes = [to_tree(r).root]
+    for node in nodes:
+        nodes += node.children
+    assert len(nodes) == 16
+    monkeypatch.setattr(routes, "_MAX_TREE_NODES", 15)
+    with pytest.raises(RouteError) as raised:
+        to_tree(r)
+    assert str(raised.value) == "route tree passes 15 nodes (8 distinct molecules)"
 
 
 def test_first_molecule_made_twice_is_named_and_all_are_listed():

@@ -563,15 +563,19 @@ def test_writing_and_keying_attach_no_state_beyond_ranks_and_key():
 
 
 def test_bracket_table_keeps_only_successful_parses():
-    smiles._BRACKETS.clear()
+    def brackets():
+        return {token for token in smiles._ATOMS if token[0] == "["}
+
+    for token in brackets():
+        del smiles._ATOMS[token]
     first = one("[CH3:1][NH+:2]")
     second = one("[NH+:2][CH3:1]")
     assert first.atoms[0] is second.atoms[1] and first.atoms[1] is second.atoms[0]
-    assert set(smiles._BRACKETS) == {"CH3:1", "NH+:2"}
+    assert brackets() == {"[CH3:1]", "[NH+:2]"}
     for bad in ("[Xx]", "[C@H@]", "[q]", "[se+]C[Zz]"):
         with pytest.raises(SmilesSyntaxError):
             parse_smiles(bad)
-    assert set(smiles._BRACKETS) == {"CH3:1", "NH+:2", "se+"}
+    assert brackets() == {"[CH3:1]", "[NH+:2]", "[se+]"}
     with pytest.raises(SmilesSyntaxError, match="position 4"):
         parse_smiles("CCC.[Xx]")
 
@@ -962,7 +966,7 @@ def test_lone_atom_is_written_bare_exactly_when_the_parser_reads_it_back():
     for atom in atoms:
         implicit = Molecule((atom,), ())._implicit[0]
         symbol = atom.element.lower() if atom.aromatic else atom.element
-        bare = smiles._BARE_ATOMS.get(symbol)
+        bare = smiles._ATOMS.get(symbol)
         expected = bare is not None and (bare.element, bare.aromatic) == (atom.element, atom.aromatic)
         for pinned in (atom, atom._replace(explicit_hydrogens=implicit)):
             token = smiles._atom_token(Molecule((pinned,), ()), 0, True)
@@ -1052,7 +1056,6 @@ def test_hand_built_molecule_neither_reads_nor_poisons_the_table():
 def cold_tables():
     smiles._KEYS.clear()
     smiles._SHAPES.clear()
-    smiles._ATOM_KINDS.clear()
 
 
 def written_key(m: Molecule) -> str:
